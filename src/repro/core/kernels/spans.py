@@ -76,30 +76,53 @@ def build_spans(low_pc, high_pc, nbuckets, symbols) -> SymbolSpans:
     The per-bucket formulas are lifted verbatim from the reference
     ``assign_samples`` loop, so the weights here are the exact floats
     the reference would have multiplied by.
+
+    Only a routine's edge buckets are evaluated.  When the bucket width
+    is a whole number of address units, every quantity in the formula
+    is an integer-valued float, so a bucket lying wholly inside the
+    routine has weight exactly 1.0; that interior run ``[a, b)`` is
+    found with integer arithmetic and emitted without visiting its
+    buckets.  For any other width the interior is left empty and the
+    same loop walks every bucket.
     """
     entries = []
     if nbuckets:
-        width = (high_pc - low_pc) / nbuckets
+        span = high_pc - low_pc
+        width = span / nbuckets
+        whole = span > 0 and span % nbuckets == 0
+        unit = span // nbuckets if whole else 0
         for sym in symbols:
             if sym.end <= low_pc or sym.address >= high_pc:
                 continue
             first = max(int((sym.address - low_pc) / width) - 1, 0)
             last = min(int((sym.end - low_pc) / width) + 1, nbuckets - 1)
+            if whole:  # buckets wholly inside [address, end)
+                a = max(-((low_pc - sym.address) // unit), first)
+                b = min((sym.end - low_pc) // unit, last + 1)
+            else:
+                a = b = first
             segs: list[tuple] = []
             run_start = -1
-            for idx in range(first, last + 1):
+            idx = first
+            while idx <= last:
+                if idx == a and a < b:  # the interior: every weight 1.0
+                    if run_start < 0:
+                        run_start = a
+                    idx = b
+                    continue
                 b_lo = low_pc + idx * width
                 overlap = min(b_lo + width, sym.end) - max(b_lo, sym.address)
                 w = (overlap / width) if overlap > 0 else 0.0
                 if w == 1.0:
                     if run_start < 0:
                         run_start = idx
-                    continue
-                if run_start >= 0:
-                    segs.append(("r", run_start, idx))
-                    run_start = -1
-                if w > 0.0:
-                    segs.append(("e", idx, w))
+                else:
+                    if run_start >= 0:
+                        segs.append(("r", run_start, idx))
+                        run_start = -1
+                    if w > 0.0:
+                        segs.append(("e", idx, w))
+                idx += 1
             if run_start >= 0:
                 segs.append(("r", run_start, last + 1))
             if segs:

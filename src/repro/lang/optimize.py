@@ -15,14 +15,9 @@ replaces the static heuristic, branches reorder onto their measured
 fall-through, and functions are laid out hot-first.  Empty or stale
 feedback degrades every profile pass to a no-op, so PGO with a useless
 profile is exactly the identity transform over the static pipeline.
-
-The historical ``optimize(program, inline=True)`` spelling survives as
-a deprecated alias for ``level=2`` (one warning per process).
 """
 
 from __future__ import annotations
-
-import warnings
 
 from repro.lang import ast
 from repro.lang.passes import (
@@ -31,15 +26,9 @@ from repro.lang.passes import (
     run_passes,
 )
 
-_warned_inline_kwarg = False
-
 
 def optimize(
-    program: ast.Program,
-    level: int | None = None,
-    profile=None,
-    *,
-    inline: bool | None = None,
+    program: ast.Program, level: int = 1, profile=None
 ) -> ast.Program:
     """Optimize a parsed program; returns a new tree (input unchanged).
 
@@ -50,26 +39,7 @@ def optimize(
         profile: optional measured feedback
             (:class:`~repro.lang.feedback.ProfileFeedback`); enables
             the profile-guided passes.
-        inline: deprecated pre-pipeline spelling — ``inline=True``
-            means ``level=2``, ``inline=False`` means ``level=1``.
     """
-    global _warned_inline_kwarg
-    if isinstance(level, bool):
-        # The historical positional call optimize(program, True).
-        inline, level = level, None
-    if inline is not None:
-        if not _warned_inline_kwarg:
-            warnings.warn(
-                "optimize(program, inline=...) is deprecated; use "
-                "optimize(program, level=2) (or level=1 for inline=False)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            _warned_inline_kwarg = True
-        if level is None:
-            level = 2 if inline else 1
-    if level is None:
-        level = 1
     optimized, _traces = run_passes(
         program, build_pipeline(level, profile), profile
     )

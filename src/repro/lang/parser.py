@@ -24,48 +24,69 @@ Grammar (EBNF)::
     unary     := ('-'|'!') unary | primary
     primary   := num | name '(' args ')' | name '[' expr ']' | name
                | '(' expr ')'
+
+The five binary levels are parsed by one precedence-climbing loop
+(:meth:`_Parser.parse_expr`) driven by :data:`BINARY_PRECEDENCE`; it
+builds exactly the trees the layered grammar above describes.
 """
 
 from __future__ import annotations
 
 from repro.errors import LangError
 from repro.lang import ast
-from repro.lang.lexer import Token, tokenize
+from repro.lang.lexer import lex
+
+#: Binding strength of each binary operator (higher binds tighter),
+#: one level per grammar rule from ``or`` down to ``mul``.
+BINARY_PRECEDENCE = {
+    "||": 1,
+    "&&": 2,
+    "==": 3, "!=": 3, "<": 3, "<=": 3, ">": 3, ">=": 3,
+    "+": 4, "-": 4,
+    "*": 5, "/": 5, "%": 5,
+}
+
+#: The comparison level, which does not chain: ``a < b < c`` is an error.
+_CMP = 3
+_TIGHTEST = max(BINARY_PRECEDENCE.values())
 
 
 def parse(source: str) -> ast.Program:
     """Parse Rel source text into a :class:`~repro.lang.ast.Program`."""
-    return _Parser(tokenize(source)).parse_program()
+    return _Parser(lex(source)).parse_program()
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
+    """Reads :func:`~repro.lang.lexer.lex` triples ``(kind, value, line)``.
+
+    An operator is recognised by its value alone: no other kind of
+    token can carry punctuation (names and keywords are words, numbers
+    are ints, ``eof`` is None).
+    """
+
+    def __init__(self, tokens: list[tuple[str, object, int]]):
         self.tokens = tokens
         self.pos = 0
 
     # -- token plumbing ---------------------------------------------------------
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
+    def advance(self) -> tuple[str, object, int]:
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+        if tok[0] != "eof":
             self.pos += 1
         return tok
 
     def at(self, kind: str, value=None) -> bool:
-        tok = self.peek()
-        return tok.kind == kind and (value is None or tok.value == value)
+        tok_kind, tok_value, _ = self.tokens[self.pos]
+        return tok_kind == kind and (value is None or tok_value == value)
 
-    def expect(self, kind: str, value=None) -> Token:
-        tok = self.peek()
-        if not self.at(kind, value):
+    def expect(self, kind: str, value=None) -> tuple[str, object, int]:
+        tok = self.tokens[self.pos]
+        if tok[0] != kind or (value is not None and tok[1] != value):
             want = value if value is not None else kind
-            raise LangError(
-                f"expected {want!r}, found {tok.value!r}", tok.line
-            )
-        return self.advance()
+            raise LangError(f"expected {want!r}, found {tok[1]!r}", tok[2])
+        self.pos += 1  # never at eof: no caller expects it
+        return tok
 
     # -- top level ----------------------------------------------------------------
 
@@ -73,23 +94,23 @@ class _Parser:
         program = ast.Program()
         seen: set[str] = set()
         while not self.at("eof"):
-            tok = self.peek()
+            _, value, line = self.tokens[self.pos]
             if self.at("kw", "var"):
                 self.advance()
-                name = self.expect("name").value
+                name = self.expect("name")[1]
                 self.expect("op", ";")
-                self._declare(program, seen, name, tok.line)
+                self._declare(program, seen, name, line)
                 program.globals_.append(name)
             elif self.at("kw", "array"):
                 self.advance()
-                name = self.expect("name").value
+                name = self.expect("name")[1]
                 self.expect("op", "[")
-                size = self.expect("num").value
+                size = self.expect("num")[1]
                 self.expect("op", "]")
                 self.expect("op", ";")
                 if size < 1:
-                    raise LangError(f"array {name!r} needs size >= 1", tok.line)
-                self._declare(program, seen, name, tok.line)
+                    raise LangError(f"array {name!r} needs size >= 1", line)
+                self._declare(program, seen, name, line)
                 program.arrays[name] = size
             elif self.at("kw", "func"):
                 fn = self.parse_function()
@@ -97,7 +118,7 @@ class _Parser:
                 program.functions.append(fn)
             else:
                 raise LangError(
-                    f"expected a declaration, found {tok.value!r}", tok.line
+                    f"expected a declaration, found {value!r}", line
                 )
         if not any(f.name == "main" for f in program.functions):
             raise LangError("program has no 'main' function")
@@ -110,104 +131,101 @@ class _Parser:
         seen.add(name)
 
     def parse_function(self) -> ast.Function:
-        start = self.expect("kw", "func")
-        name = self.expect("name").value
+        line = self.expect("kw", "func")[2]
+        name = self.expect("name")[1]
         self.expect("op", "(")
         params: list[str] = []
         if not self.at("op", ")"):
-            params.append(self.expect("name").value)
+            params.append(self.expect("name")[1])
             while self.at("op", ","):
                 self.advance()
-                params.append(self.expect("name").value)
+                params.append(self.expect("name")[1])
         if len(set(params)) != len(params):
-            raise LangError(f"duplicate parameter in {name!r}", start.line)
+            raise LangError(f"duplicate parameter in {name!r}", line)
         self.expect("op", ")")
         body = self.parse_block()
-        return ast.Function(name, tuple(params), body, start.line)
+        return ast.Function(name, tuple(params), body, line)
 
     def parse_block(self) -> tuple[ast.Stmt, ...]:
         self.expect("op", "{")
+        tokens = self.tokens
         stmts: list[ast.Stmt] = []
-        while not self.at("op", "}"):
+        while tokens[self.pos][1] != "}":
             stmts.append(self.parse_statement())
-        self.expect("op", "}")
+        self.pos += 1  # '}'
         return tuple(stmts)
 
     # -- statements ------------------------------------------------------------------
 
     def parse_statement(self) -> ast.Stmt:
-        tok = self.peek()
-        if self.at("kw", "if"):
-            return self.parse_if()
-        if self.at("kw", "while"):
-            self.advance()
-            self.expect("op", "(")
-            cond = self.parse_expr()
-            self.expect("op", ")")
-            body = self.parse_block()
-            return ast.While(cond, body, tok.line)
-        if self.at("kw", "return"):
-            self.advance()
-            value = None if self.at("op", ";") else self.parse_expr()
-            self.expect("op", ";")
-            return ast.Return(value, tok.line)
-        if self.at("kw", "print"):
-            self.advance()
-            value = self.parse_expr()
-            self.expect("op", ";")
-            return ast.Print(value, tok.line)
-        if self.at("kw", "burn"):
-            self.advance()
-            cycles = self.expect("num").value
-            self.expect("op", ";")
-            return ast.Burn(cycles, tok.line)
-        if self.at("name"):
+        tokens = self.tokens
+        kind, word, line = tokens[self.pos]
+        if kind == "kw":
+            if word == "if":
+                return self.parse_if()
+            if word == "while":
+                self.pos += 1
+                self.expect("op", "(")
+                cond = self.parse_expr()
+                self.expect("op", ")")
+                body = self.parse_block()
+                return ast.While(cond, body, line)
+            if word == "return":
+                self.pos += 1
+                if tokens[self.pos][1] == ";":
+                    self.pos += 1
+                    return ast.Return(None, line)
+                value = self.parse_expr()
+                self.expect("op", ";")
+                return ast.Return(value, line)
+            if word == "print":
+                self.pos += 1
+                value = self.parse_expr()
+                self.expect("op", ";")
+                return ast.Print(value, line)
+            if word == "burn":
+                self.pos += 1
+                cycles = self.expect("num")[1]
+                self.expect("op", ";")
+                return ast.Burn(cycles, line)
+        elif kind == "name":
             # could be assignment, indexed assignment, or expression
-            if self.tokens[self.pos + 1].kind == "op":
-                nxt = self.tokens[self.pos + 1].value
-                if nxt == "=":
-                    name = self.advance().value
-                    self.advance()  # '='
-                    value = self.parse_expr()
-                    self.expect("op", ";")
-                    return ast.Assign(name, value, tok.line)
-                if nxt == "[" and self._is_indexed_assignment():
-                    name = self.advance().value
-                    self.advance()  # '['
-                    index = self.parse_expr()
-                    self.expect("op", "]")
-                    self.expect("op", "=")
-                    value = self.parse_expr()
-                    self.expect("op", ";")
-                    return ast.AssignIndex(name, index, value, tok.line)
+            nxt = tokens[self.pos + 1][1]
+            if nxt == "=":
+                self.pos += 2  # name '='
+                value = self.parse_expr()
+                self.expect("op", ";")
+                return ast.Assign(word, value, line)
+            if nxt == "[" and self._is_indexed_assignment():
+                self.pos += 2  # name '['
+                index = self.parse_expr()
+                self.expect("op", "]")
+                self.expect("op", "=")
+                value = self.parse_expr()
+                self.expect("op", ";")
+                return ast.AssignIndex(word, index, value, line)
         value = self.parse_expr()
         self.expect("op", ";")
-        return ast.ExprStmt(value, tok.line)
+        return ast.ExprStmt(value, line)
 
     def _is_indexed_assignment(self) -> bool:
         """Lookahead: does ``name[ … ]`` continue with ``=``?"""
+        tokens = self.tokens
         depth = 0
-        i = self.pos + 1  # at '['
-        while i < len(self.tokens):
-            tok = self.tokens[i]
-            if tok.kind == "op" and tok.value == "[":
+        for i in range(self.pos + 1, len(tokens)):  # from '['
+            kind, value, _ = tokens[i]
+            if value == "[":
                 depth += 1
-            elif tok.kind == "op" and tok.value == "]":
+            elif value == "]":
                 depth -= 1
                 if depth == 0:
-                    nxt = self.tokens[i + 1] if i + 1 < len(self.tokens) else None
-                    return (
-                        nxt is not None
-                        and nxt.kind == "op"
-                        and nxt.value == "="
-                    )
-            elif tok.kind == "eof":
+                    return i + 1 < len(tokens) and tokens[i + 1][1] == "="
+            elif kind == "eof":
                 break
-            i += 1
         return False
 
     def parse_if(self) -> ast.If:
-        tok = self.expect("kw", "if")
+        line = self.expect("kw", "if")[2]
         self.expect("op", "(")
         cond = self.parse_expr()
         self.expect("op", ")")
@@ -219,82 +237,59 @@ class _Parser:
                 otherwise = (self.parse_if(),)
             else:
                 otherwise = self.parse_block()
-        return ast.If(cond, then, otherwise, tok.line)
+        return ast.If(cond, then, otherwise, line)
 
     # -- expressions ---------------------------------------------------------------------
 
-    def parse_expr(self) -> ast.Expr:
-        return self.parse_or()
+    def parse_expr(self, min_prec: int = 1) -> ast.Expr:
+        """Precedence climbing over the ``or`` … ``mul`` levels.
 
-    def parse_or(self) -> ast.Expr:
-        node = self.parse_and()
-        while self.at("op", "||"):
-            line = self.advance().line
-            node = ast.Binary("||", node, self.parse_and(), line)
-        return node
-
-    def parse_and(self) -> ast.Expr:
-        node = self.parse_cmp()
-        while self.at("op", "&&"):
-            line = self.advance().line
-            node = ast.Binary("&&", node, self.parse_cmp(), line)
-        return node
-
-    def parse_cmp(self) -> ast.Expr:
-        node = self.parse_add()
-        if self.peek().kind == "op" and self.peek().value in (
-            "==", "!=", "<", "<=", ">", ">=",
-        ):
-            op = self.advance()
-            node = ast.Binary(op.value, node, self.parse_add(), op.line)
-        return node
-
-    def parse_add(self) -> ast.Expr:
-        node = self.parse_mul()
-        while self.peek().kind == "op" and self.peek().value in ("+", "-"):
-            op = self.advance()
-            node = ast.Binary(op.value, node, self.parse_mul(), op.line)
-        return node
-
-    def parse_mul(self) -> ast.Expr:
+        After an operator of level ``p`` the next one may not bind
+        tighter than ``p`` (its operand already took those), and after
+        a comparison not even as tight: that is the layered grammar's
+        left associativity and its one-comparison-per-level rule.
+        """
+        tokens = self.tokens
         node = self.parse_unary()
-        while self.peek().kind == "op" and self.peek().value in ("*", "/", "%"):
-            op = self.advance()
-            node = ast.Binary(op.value, node, self.parse_unary(), op.line)
-        return node
+        ceiling = _TIGHTEST
+        while True:
+            _, op, line = tokens[self.pos]
+            prec = BINARY_PRECEDENCE.get(op)
+            if prec is None or prec < min_prec or prec > ceiling:
+                return node
+            self.pos += 1
+            node = ast.Binary(op, node, self.parse_expr(prec + 1), line)
+            ceiling = prec - 1 if prec == _CMP else prec
 
     def parse_unary(self) -> ast.Expr:
-        if self.peek().kind == "op" and self.peek().value in ("-", "!"):
-            op = self.advance()
-            return ast.Unary(op.value, self.parse_unary(), op.line)
-        return self.parse_primary()
-
-    def parse_primary(self) -> ast.Expr:
-        tok = self.peek()
-        if tok.kind == "num":
-            self.advance()
-            return ast.Num(tok.value, tok.line)
-        if tok.kind == "name":
-            self.advance()
-            if self.at("op", "("):
-                self.advance()
+        """``unary`` and ``primary`` in one frame (the hottest call)."""
+        tokens = self.tokens
+        kind, value, line = tokens[self.pos]
+        self.pos += 1
+        if kind == "num":
+            return ast.Num(value, line)
+        if kind == "name":
+            nxt = tokens[self.pos][1]
+            if nxt == "(":
+                self.pos += 1
                 args: list[ast.Expr] = []
-                if not self.at("op", ")"):
+                if tokens[self.pos][1] != ")":
                     args.append(self.parse_expr())
-                    while self.at("op", ","):
-                        self.advance()
+                    while tokens[self.pos][1] == ",":
+                        self.pos += 1
                         args.append(self.parse_expr())
                 self.expect("op", ")")
-                return ast.Call(tok.value, tuple(args), tok.line)
-            if self.at("op", "["):
-                self.advance()
+                return ast.Call(value, tuple(args), line)
+            if nxt == "[":
+                self.pos += 1
                 index = self.parse_expr()
                 self.expect("op", "]")
-                return ast.Index(tok.value, index, tok.line)
-            return ast.Var(tok.value, tok.line)
-        if self.at("op", "("):
-            self.advance()
+                return ast.Index(value, index, line)
+            return ast.Var(value, line)
+        if value == "-" or value == "!":
+            return ast.Unary(value, self.parse_unary(), line)
+        if value == "(":
             node = self.parse_expr()
             self.expect("op", ")")
             return node
-        raise LangError(f"expected an expression, found {tok.value!r}", tok.line)
+        raise LangError(f"expected an expression, found {value!r}", line)

@@ -63,7 +63,7 @@ __all__ = [
 
 def build_pipeline(level: int = 1, feedback=None) -> list[Pass]:
     """The standard pass list for an optimization level (+ feedback)."""
-    if level not in (0, 1, 2):
+    if isinstance(level, bool) or level not in (0, 1, 2):
         raise LangError(f"unknown optimization level {level!r}")
     passes: list[Pass] = []
     if feedback is not None:

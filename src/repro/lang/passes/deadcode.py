@@ -30,11 +30,20 @@ class DeadCodePass(Pass):
 
     def run(self, program, feedback, counters):
         self.counters = counters
-        functions = [
-            replace(fn, body=tuple(self._stmts(fn.body)))
-            for fn in program.functions
-        ]
+        functions = []
+        for fn in program.functions:
+            body = self._block(fn.body)
+            functions.append(fn if body is fn.body else replace(fn, body=body))
         return replace_program(program, functions)
+
+    def _block(self, stmts) -> tuple:
+        """:meth:`_stmts` as a tuple; ``stmts`` itself when nothing changed."""
+        out = self._stmts(stmts)
+        if len(out) == len(stmts) and all(
+            new is old for new, old in zip(out, stmts)
+        ):
+            return stmts
+        return tuple(out)
 
     def _stmts(self, stmts) -> list[ast.Stmt]:
         out: list[ast.Stmt] = []
@@ -50,17 +59,22 @@ class DeadCodePass(Pass):
 
     def _stmt(self, stmt: ast.Stmt) -> list[ast.Stmt]:
         if isinstance(stmt, ast.If):
-            then = tuple(self._stmts(stmt.then))
-            otherwise = tuple(self._stmts(stmt.otherwise))
+            then = self._block(stmt.then)
+            otherwise = self._block(stmt.otherwise)
             if isinstance(stmt.cond, ast.Num):
                 self.counters["pruned_branches"] += 1
                 return list(then if stmt.cond.value != 0 else otherwise)
+            if then is stmt.then and otherwise is stmt.otherwise:
+                return [stmt]
             return [replace(stmt, then=then, otherwise=otherwise)]
         if isinstance(stmt, ast.While):
             if isinstance(stmt.cond, ast.Num) and stmt.cond.value == 0:
                 self.counters["removed_loops"] += 1
                 return []  # while(0): gone
-            return [replace(stmt, body=tuple(self._stmts(stmt.body)))]
+            body = self._block(stmt.body)
+            if body is stmt.body:
+                return [stmt]
+            return [replace(stmt, body=body)]
         if isinstance(stmt, ast.ExprStmt) and isinstance(
             stmt.value, (ast.Num, ast.Var)
         ):

@@ -7,7 +7,9 @@ which keeps each pass's counters honest about what it did.
 
 Every statement rebuild goes through :func:`dataclasses.replace` so
 profile-feedback hints (``If.likely``, ``While.rotate``) survive the
-rewrite.
+rewrite.  A node none of whose children changed is returned as is —
+nodes are frozen, so sharing them with the input tree is safe, and
+most of a program has nothing to fold.
 """
 
 from __future__ import annotations
@@ -26,45 +28,69 @@ class ConstFoldPass(Pass):
 
     def run(self, program, feedback, counters):
         self.counters = counters
-        functions = [
-            replace(fn, body=tuple(self._stmt(s) for s in fn.body))
-            for fn in program.functions
-        ]
+        functions = []
+        for fn in program.functions:
+            body = self._stmts(fn.body)
+            functions.append(fn if body is fn.body else replace(fn, body=body))
         return replace_program(program, functions)
 
     # -- statements ------------------------------------------------------
 
     def _stmts(self, stmts) -> tuple:
-        return tuple(self._stmt(s) for s in stmts)
+        new = tuple(self._stmt(s) for s in stmts)
+        return stmts if _same(new, stmts) else new
 
     def _stmt(self, stmt: ast.Stmt) -> ast.Stmt:
+        fold = self._fold
         if isinstance(stmt, ast.Assign):
-            return replace(stmt, value=self._fold(stmt.value))
-        if isinstance(stmt, ast.AssignIndex):
-            return replace(
-                stmt, index=self._fold(stmt.index), value=self._fold(stmt.value)
-            )
-        if isinstance(stmt, ast.If):
-            return replace(
-                stmt,
-                cond=self._fold(stmt.cond),
-                then=self._stmts(stmt.then),
-                otherwise=self._stmts(stmt.otherwise),
-            )
-        if isinstance(stmt, ast.While):
-            return replace(
-                stmt, cond=self._fold(stmt.cond), body=self._stmts(stmt.body)
-            )
-        if isinstance(stmt, ast.Return):
-            value = self._fold(stmt.value) if stmt.value is not None else None
+            value = fold(stmt.value)
+            if value is stmt.value:
+                return stmt
             return replace(stmt, value=value)
-        if isinstance(stmt, (ast.Print, ast.ExprStmt)):
-            return replace(stmt, value=self._fold(stmt.value))
+        if isinstance(stmt, ast.AssignIndex):
+            index, value = fold(stmt.index), fold(stmt.value)
+            if index is stmt.index and value is stmt.value:
+                return stmt
+            return replace(stmt, index=index, value=value)
+        if isinstance(stmt, ast.If):
+            cond = fold(stmt.cond)
+            then = self._stmts(stmt.then)
+            otherwise = self._stmts(stmt.otherwise)
+            if (
+                cond is stmt.cond
+                and then is stmt.then
+                and otherwise is stmt.otherwise
+            ):
+                return stmt
+            return replace(stmt, cond=cond, then=then, otherwise=otherwise)
+        if isinstance(stmt, ast.While):
+            cond, body = fold(stmt.cond), self._stmts(stmt.body)
+            if cond is stmt.cond and body is stmt.body:
+                return stmt
+            return replace(stmt, cond=cond, body=body)
+        if isinstance(stmt, (ast.Return, ast.Print, ast.ExprStmt)):
+            if stmt.value is None:  # bare return
+                return stmt
+            value = fold(stmt.value)
+            if value is stmt.value:
+                return stmt
+            return replace(stmt, value=value)
         return stmt  # Burn
 
     # -- expressions -----------------------------------------------------
 
     def _fold(self, expr: ast.Expr) -> ast.Expr:
+        if isinstance(expr, (ast.Var, ast.Num)):
+            return expr
+        if isinstance(expr, ast.Binary):
+            left, right = self._fold(expr.left), self._fold(expr.right)
+            folded = _fold_binary(expr.op, left, right, expr.line)
+            if folded is not None:
+                self.counters["folded"] += 1
+                return folded
+            if left is expr.left and right is expr.right:
+                return expr
+            return replace(expr, left=left, right=right)
         if isinstance(expr, ast.Unary):
             operand = self._fold(expr.operand)
             if isinstance(operand, ast.Num):
@@ -72,19 +98,25 @@ class ConstFoldPass(Pass):
                 if expr.op == "-":
                     return ast.Num(-operand.value, expr.line)
                 return ast.Num(int(operand.value == 0), expr.line)
+            if operand is expr.operand:
+                return expr
             return replace(expr, operand=operand)
-        if isinstance(expr, ast.Binary):
-            left, right = self._fold(expr.left), self._fold(expr.right)
-            folded = _fold_binary(expr.op, left, right, expr.line)
-            if folded is not None:
-                self.counters["folded"] += 1
-                return folded
-            return replace(expr, left=left, right=right)
         if isinstance(expr, ast.Index):
-            return replace(expr, index=self._fold(expr.index))
+            index = self._fold(expr.index)
+            if index is expr.index:
+                return expr
+            return replace(expr, index=index)
         if isinstance(expr, ast.Call):
-            return replace(expr, args=tuple(self._fold(a) for a in expr.args))
+            args = tuple(self._fold(a) for a in expr.args)
+            if _same(args, expr.args):
+                return expr
+            return replace(expr, args=args)
         return expr
+
+
+def _same(new: tuple, old: tuple) -> bool:
+    """Whether a rebuilt child tuple holds the very same nodes."""
+    return all(a is b for a, b in zip(new, old))
 
 
 def replace_program(program: ast.Program, functions) -> ast.Program:

@@ -41,6 +41,15 @@ from repro.machine.isa import (
     OPERAND_OPS,
 )
 
+#: Mnemonic → ``(op, takes_operand, is_address)``: one dict probe per
+#: source line instead of an ``Op(...)`` lookup and two set tests.
+_MNEMONICS = {
+    op.value: (op, op in OPERAND_OPS, op in ADDRESS_OPS) for op in Op
+}
+
+#: Mnemonics only the assembler may emit.
+_PLANTED = frozenset({Op.MCOUNT.value, Op.COUNT.value})
+
 
 def assemble(
     source: str,
@@ -78,8 +87,10 @@ class _Assembler:
         self.count_blocks = count_blocks
         self.counter_names: list[str] = []
         self._entry_count_pending = False
-        self.items: list[tuple[int, str, str | int | None]] = []  # (line, op, raw operand)
+        # (line, op, raw operand, operand is a code address)
+        self.items: list[tuple[int, Op, str | int | None, bool]] = []
         self.functions: list[Function] = []
+        self.function_names: set[str] = set()
         self.labels: dict[str, int] = {}  # resolved label → address
         self.num_globals = 0
 
@@ -114,45 +125,52 @@ class _Assembler:
             pending_labels.clear()
 
         for lineno, raw in enumerate(self.source.splitlines(), start=1):
-            line = raw.split(";", 1)[0].strip()
+            line = raw.partition(";")[0].strip()
             if not line:
                 continue
-            if line.startswith(".globals"):
-                parts = line.split()
-                if len(parts) != 2 or not parts[1].isdigit():
-                    raise AssemblerError(".globals takes one integer", lineno)
-                self.num_globals = int(parts[1])
-                continue
-            if line.startswith(".func"):
-                if current_func is not None:
-                    raise AssemblerError(
-                        f"nested .func (still inside {current_func!r})", lineno
+            if line[0] == ".":
+                if line.startswith(".globals"):
+                    parts = line.split()
+                    if len(parts) != 2 or not parts[1].isdecimal():
+                        raise AssemblerError(
+                            ".globals takes one integer", lineno
+                        )
+                    self.num_globals = int(parts[1])
+                    continue
+                if line.startswith(".func"):
+                    if current_func is not None:
+                        raise AssemblerError(
+                            f"nested .func (still inside {current_func!r})",
+                            lineno,
+                        )
+                    parts = line.split()
+                    if len(parts) < 2:
+                        raise AssemblerError(".func needs a name", lineno)
+                    current_func = parts[1]
+                    func_profiled = (
+                        self.profile and "noprofile" not in parts[2:]
                     )
-                parts = line.split()
-                if len(parts) < 2:
-                    raise AssemblerError(".func needs a name", lineno)
-                current_func = parts[1]
-                func_profiled = self.profile and "noprofile" not in parts[2:]
-                if current_func in self.labels:
-                    raise AssemblerError(
-                        f"duplicate function {current_func!r}", lineno
+                    if current_func in self.labels:
+                        raise AssemblerError(
+                            f"duplicate function {current_func!r}", lineno
+                        )
+                    self.labels[current_func] = addr
+                    func_start = addr
+                    if func_profiled:
+                        self.items.append((lineno, Op.MCOUNT, None, False))
+                        addr += INSTRUCTION_SIZE
+                    self._entry_count_pending = self.count_blocks
+                    continue
+                if line == ".end":
+                    if current_func is None:
+                        raise AssemblerError(".end outside .func", lineno)
+                    place_labels()
+                    self.functions.append(
+                        Function(current_func, func_start, addr, func_profiled)
                     )
-                self.labels[current_func] = addr
-                func_start = addr
-                if func_profiled:
-                    self.items.append((lineno, "MCOUNT", None))
-                    addr += INSTRUCTION_SIZE
-                self._entry_count_pending = self.count_blocks
-                continue
-            if line == ".end":
-                if current_func is None:
-                    raise AssemblerError(".end outside .func", lineno)
-                place_labels()
-                self.functions.append(
-                    Function(current_func, func_start, addr, func_profiled)
-                )
-                current_func = None
-                continue
+                    self.function_names.add(current_func)
+                    current_func = None
+                    continue
             if line.endswith(":"):
                 label = line[:-1].strip()
                 if not label.isidentifier():
@@ -161,9 +179,11 @@ class _Assembler:
                 continue
             if current_func is None:
                 raise AssemblerError("instruction outside .func", lineno)
-            op, operand = self._parse_instruction(line, lineno)
-            block_label = pending_labels[-1][1] if pending_labels else None
-            place_labels()
+            item = self._parse_instruction(line, lineno)
+            block_label = None
+            if pending_labels:
+                block_label = pending_labels[-1][1]
+                place_labels()
             if self.count_blocks and (self._entry_count_pending or block_label):
                 # A basic block starts here (routine entry or a branch
                 # target): plant the inline counter increment.
@@ -171,10 +191,10 @@ class _Assembler:
                 self.counter_names.append(
                     f"{current_func}.{block_label or 'entry'}"
                 )
-                self.items.append((lineno, "COUNT", counter))
+                self.items.append((lineno, Op.COUNT, counter, False))
                 addr += INSTRUCTION_SIZE
                 self._entry_count_pending = False
-            self.items.append((lineno, op, operand))
+            self.items.append(item)
             addr += INSTRUCTION_SIZE
         if current_func is not None:
             raise AssemblerError(f"unterminated .func {current_func!r}", len(
@@ -186,64 +206,72 @@ class _Assembler:
                 pending_labels[0][0],
             )
 
-    def _parse_instruction(self, line: str, lineno: int) -> tuple[str, str | None]:
+    def _parse_instruction(self, line: str, lineno: int):
+        """One instruction line → its ``items`` entry."""
         parts = line.split(None, 1)
         mnemonic = parts[0].upper()
-        try:
-            op = Op(mnemonic)
-        except ValueError:
-            raise AssemblerError(f"unknown instruction {mnemonic!r}", lineno) from None
-        if op in (Op.MCOUNT, Op.COUNT):
+        decoded = _MNEMONICS.get(mnemonic)
+        if decoded is None:
+            raise AssemblerError(f"unknown instruction {mnemonic!r}", lineno)
+        if mnemonic in _PLANTED:
             raise AssemblerError(
                 f"{mnemonic} is planted by the assembler, not written by hand",
                 lineno,
             )
+        op, takes_operand, is_address = decoded
         operand = parts[1].strip() if len(parts) > 1 else None
-        if op in OPERAND_OPS and operand is None:
+        if takes_operand and operand is None:
             raise AssemblerError(f"{mnemonic} needs an operand", lineno)
-        if op not in OPERAND_OPS and operand is not None:
+        if not takes_operand and operand is not None:
             raise AssemblerError(f"{mnemonic} takes no operand", lineno)
-        return mnemonic, operand
+        return lineno, op, operand, is_address
 
     # -- pass 2: resolve ---------------------------------------------------------
 
     def _second_pass(self) -> list[Instruction]:
         instructions: list[Instruction] = []
+        # Instructions are frozen values, so equal ones share one
+        # object: a program repeats a few thousand distinct ones.
+        shared: dict[tuple[Op, int | None], Instruction] = {}
         func_iter = iter(self.functions)
         current = next(func_iter, None)
         addr = 0
-        for lineno, mnemonic, operand in self.items:
+        for lineno, op, operand, is_address in self.items:
             while current is not None and addr >= current.end:
                 current = next(func_iter, None)
-            op = Op(mnemonic)
             value: int | None = None
             if isinstance(operand, int):
                 value = operand  # assembler-planted counter index
             elif operand is not None:
                 value = self._resolve(
-                    op, operand, current.name if current else None, lineno
+                    op, operand, is_address,
+                    current.name if current else None, lineno,
                 )
-            instructions.append(Instruction(op, value))
+            ins = shared.get((op, value))
+            if ins is None:
+                ins = shared[op, value] = Instruction(op, value)
+            instructions.append(ins)
             addr += INSTRUCTION_SIZE
         return instructions
 
     def _resolve(
-        self, op: Op, operand: str, func: str | None, lineno: int
+        self, op: Op, operand: str, is_address: bool, func: str | None,
+        lineno: int,
     ) -> int:
         if operand.startswith("&"):
             # Address-of: the functional-parameter mechanism.
             if op is not Op.PUSH:
                 raise AssemblerError("'&name' only valid with PUSH", lineno)
             target = operand[1:]
-            if target not in self.labels or not self._is_function(target):
+            if target not in self.function_names:
                 raise AssemblerError(f"unknown function {target!r}", lineno)
             return self.labels[target]
-        if op in ADDRESS_OPS:
+        if is_address:
             # Try a local label first, then a function name.
             local = self._label_key(func, operand)
             if local in self.labels:
                 return self.labels[local]
-            if operand in self.labels and self._is_function(operand):
+            if operand in self.function_names:
                 return self.labels[operand]
             raise AssemblerError(f"unknown label {operand!r}", lineno)
         try:
@@ -252,9 +280,6 @@ class _Assembler:
             raise AssemblerError(
                 f"{op.value} needs an integer operand, got {operand!r}", lineno
             ) from None
-
-    def _is_function(self, name: str) -> bool:
-        return any(f.name == name for f in self.functions)
 
     @staticmethod
     def _label_key(func: str | None, label: str) -> str:

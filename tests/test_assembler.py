@@ -148,6 +148,33 @@ class TestErrors:
             assemble(".func main\n PUSH &ghost\n HALT\n.end\n")
 
 
+    def test_globals_rejects_non_decimal_digits(self):
+        # '²' is a digit to str.isdigit() but not a decimal number.
+        with pytest.raises(AssemblerError, match="takes one integer") as exc:
+            assemble(".globals \u00b2\n.func main\n HALT\n.end\n")
+        assert exc.value.line == 1
+
+    def test_globals_accepts_other_decimal_scripts(self):
+        exe = assemble(".globals \u0663\n.func main\n HALT\n.end\n")
+        assert exe.num_globals == 3
+
+    def test_label_is_not_a_function(self):
+        # a local label shares the label namespace but is not callable
+        src = ".func main\nl:\n CALL main.l\n HALT\n.end\n"
+        with pytest.raises(AssemblerError, match="unknown label"):
+            assemble(src)
+        with pytest.raises(AssemblerError, match="unknown function"):
+            assemble(".func main\nl:\n PUSH &main.l\n HALT\n.end\n")
+
+    def test_forward_function_reference(self):
+        exe = assemble(
+            ".func main\n CALL f\n PUSH &f\n HALT\n.end\n"
+            ".func f\n RET\n.end\n"
+        )
+        entry = exe.function_named("f").entry
+        assert [i.operand for i in exe.instructions[:2]] == [entry, entry]
+
+
 class TestPersistence:
     def test_executable_roundtrip(self, tmp_path):
         src = ".globals 2\n.func main\n PUSH 1\n CALL f\n HALT\n.end\n.func f\n RET\n.end\n"

@@ -14,6 +14,8 @@ import pickle
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import kernels
 from repro.core.cycles import number_graph
@@ -22,6 +24,7 @@ from repro.core.kernels import buckets as kbuckets
 from repro.core.kernels import prop as kprop
 from repro.core.kernels.buckets import _LANE_LIMIT
 from repro.core.kernels.spans import build_spans, spans_for
+from repro.core.symbols import Symbol, SymbolTable
 from repro.errors import KernelBackendError
 from repro.fleet import ProfileAccumulator
 
@@ -292,6 +295,108 @@ class TestSpans:
         counts = [1 << 62] * 8  # peak * n overflows u64
         ref = kernels.get_backend("python").apportion(spans, counts, 0.01)
         assert apportion_numpy(spans, counts, 0.01) == ref
+
+
+def historical_spans(low_pc, high_pc, nbuckets, symbols):
+    """The per-bucket span walk ``build_spans`` replaced: the definition.
+
+    Every bucket a routine touches is evaluated with the overlap
+    formula; runs of weight 1.0 are merged as they are met.
+    """
+    entries = []
+    if nbuckets:
+        width = (high_pc - low_pc) / nbuckets
+        for sym in symbols:
+            if sym.end <= low_pc or sym.address >= high_pc:
+                continue
+            first = max(int((sym.address - low_pc) / width) - 1, 0)
+            last = min(int((sym.end - low_pc) / width) + 1, nbuckets - 1)
+            segs: list[tuple] = []
+            run_start = -1
+            for idx in range(first, last + 1):
+                b_lo = low_pc + idx * width
+                overlap = min(b_lo + width, sym.end) - max(b_lo, sym.address)
+                w = (overlap / width) if overlap > 0 else 0.0
+                if w == 1.0:
+                    if run_start < 0:
+                        run_start = idx
+                    continue
+                if run_start >= 0:
+                    segs.append(("r", run_start, idx))
+                    run_start = -1
+                if w > 0.0:
+                    segs.append(("e", idx, w))
+            if run_start >= 0:
+                segs.append(("r", run_start, last + 1))
+            if segs:
+                entries.append((sym.name, segs))
+    return entries
+
+
+def exact(entries):
+    """Entries with every float weight spelled bit for bit."""
+    return [
+        (name, [
+            (kind, idx, w.hex() if isinstance(w, float) else w)
+            for kind, idx, w in segs
+        ])
+        for name, segs in entries
+    ]
+
+
+@st.composite
+def span_layouts(draw):
+    """A histogram layout and a symbol table laid over (and past) it.
+
+    Half the layouts have a whole-unit bucket width, half an arbitrary
+    one.  Symbols may be narrower than a bucket, empty, or straddle
+    ``low_pc``/``high_pc``; the table may be empty.
+    """
+    low_pc = draw(st.integers(0, 64))
+    nbuckets = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        high_pc = low_pc + nbuckets * draw(st.integers(1, 9))
+    else:
+        high_pc = low_pc + draw(st.integers(1, 400))
+    symbols, addr = [], max(low_pc - draw(st.integers(0, 30)), 0)
+    for i in range(draw(st.integers(0, 12))):
+        addr += draw(st.integers(0, 20))
+        size = draw(st.one_of(st.integers(0, 3), st.integers(1, 120)))
+        symbols.append(Symbol(addr, f"s{i}", addr + size))
+        addr += size
+    return low_pc, high_pc, nbuckets, SymbolTable(symbols)
+
+
+class TestSpansMatchHistoricalLoop:
+    """``build_spans`` skips interiors; the segments must not move."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(span_layouts())
+    def test_identical_to_per_bucket_walk(self, layout):
+        low_pc, high_pc, nbuckets, symbols = layout
+        assert exact(build_spans(low_pc, high_pc, nbuckets, symbols).entries) \
+            == exact(historical_spans(low_pc, high_pc, nbuckets, symbols))
+
+    @pytest.mark.parametrize("layout", [
+        (0, 400, 7),     # fractional width: every bucket walked
+        (0, 400, 100),   # width 4, like the fleet's scale 0.25
+        (0, 400, 400),   # width 1, like scale 1.0
+        (30, 370, 17),   # symbols straddle low_pc and high_pc
+    ])
+    def test_fixed_layouts(self, layout):
+        symbols = SymbolTable([
+            Symbol(0, "below", 40), Symbol(40, "tiny", 41),
+            Symbol(41, "mid", 200), Symbol(200, "across", 390),
+            Symbol(390, "above", 460),
+        ])
+        got = build_spans(*layout, symbols).entries
+        assert exact(got) == exact(historical_spans(*layout, symbols))
+        assert got  # the layout actually produces segments
+
+    def test_empty_table(self):
+        empty = SymbolTable([])
+        assert build_spans(0, 400, 100, empty).entries == []
+        assert historical_spans(0, 400, 100, empty) == []
 
 
 # -- propagation plans -------------------------------------------------------

@@ -46,6 +46,118 @@ class TestLexer:
         with pytest.raises(LangError, match="line 2"):
             tokenize("ok\n@")
 
+    def test_non_decimal_digit_is_unexpected(self):
+        # '²' is a digit to str.isdigit() but int() refuses it: numbers
+        # are decimal digits only.
+        with pytest.raises(LangError, match="unexpected character '²'") as exc:
+            tokenize("x = ²;")
+        assert exc.value.line == 1
+
+    def test_other_decimal_scripts_are_numbers(self):
+        toks = tokenize("x = ٣;")
+        assert [(t.kind, t.value) for t in toks[1:3]] == [("op", "="), ("num", 3)]
+
+    def test_identifier_character_classes(self):
+        toks = tokenize("_é1 a²\xa0b // trailing")
+        assert [(t.kind, t.value) for t in toks] == [
+            ("name", "_é1"), ("name", "a²"), ("name", "b"), ("eof", None),
+        ]
+
+
+def oracle_tokenize(source: str):
+    """The per-character tokenizer the regex lexer replaced, verbatim.
+
+    It defines the token stream; the only behaviour allowed to change
+    is its ``ValueError`` on non-decimal digits (``int('²')``).
+    """
+    from repro.lang.lexer import KEYWORDS
+
+    operators = (
+        "==", "!=", "<=", ">=", "&&", "||",
+        "+", "-", "*", "/", "%", "<", ">", "=", "!",
+        "(", ")", "{", "}", "[", "]", ",", ";",
+    )
+    tokens = []
+    line = 1
+    i = 0
+    n = len(source)
+    while i < n:
+        ch = source[i]
+        if ch == "\n":
+            line += 1
+            i += 1
+            continue
+        if ch.isspace():
+            i += 1
+            continue
+        if source.startswith("//", i):
+            while i < n and source[i] != "\n":
+                i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and source[j].isdigit():
+                j += 1
+            tokens.append(("num", int(source[i:j]), line))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (source[j].isalnum() or source[j] == "_"):
+                j += 1
+            word = source[i:j]
+            kind = "kw" if word in KEYWORDS else "name"
+            tokens.append((kind, word, line))
+            i = j
+            continue
+        for op in operators:
+            if source.startswith(op, i):
+                tokens.append(("op", op, line))
+                i += len(op)
+                break
+        else:
+            raise LangError(f"unexpected character {ch!r}", line)
+    tokens.append(("eof", None, line))
+    return tokens
+
+
+_LEX_PIECES = st.one_of(
+    st.text(
+        alphabet=st.sampled_from(
+            [chr(c) for c in range(32, 127)] + list("²½٣é\xa0\r\n\t ")
+        ),
+        max_size=12,
+    ),
+    st.sampled_from(
+        ["//", "// note", "\r\n", "==", "&&", "||", "<=", "func", "x_1",
+         "42", "٣٣", "1²", "a²", "½x"]
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(_LEX_PIECES, max_size=12).map("".join),
+    st.sampled_from(["", "//", "// tail comment", "\r\n", "\n// c"]),
+)
+def test_lexer_matches_per_character_oracle(body, tail):
+    source = body + tail
+    try:
+        expected = oracle_tokenize(source)
+    except LangError as exc:
+        with pytest.raises(LangError) as got:
+            tokenize(source)
+        assert str(got.value) == str(exc) and got.value.line == exc.line
+        return
+    except ValueError:
+        # the oracle's int('²') crash is now a LangError on that digit
+        with pytest.raises(LangError, match="unexpected character") as got:
+            tokenize(source)
+        ch = str(got.value).split("unexpected character ")[1][1]
+        assert ch.isdigit() and not ch.isdecimal()
+        return
+    assert [(t.kind, t.value, t.line) for t in tokenize(source)] == expected
+
 
 class TestExpressions:
     @pytest.mark.parametrize(
@@ -205,6 +317,60 @@ class TestErrors:
     def test_rejections(self, source, message):
         with pytest.raises(LangError, match=message):
             compile_source(source)
+
+    @pytest.mark.parametrize(
+        "expr, found",
+        [
+            ("1 < 2 < 3", "'<'"),         # a comparison does not chain
+            ("1 == 2 != 3", "'!='"),
+            ("0 && 1 < 2 >= 3", "'>='"),  # not even under a looser operator
+            ("(1 < 2) < 3 + 1 < 4", "'<'"),
+        ],
+    )
+    def test_comparisons_do_not_chain(self, expr, found):
+        with pytest.raises(LangError, match=f"expected ';', found {found}"):
+            parse(f"func main() {{ print {expr}; }}")
+
+
+class TestParserTrees:
+    """Precedence and associativity, read off the tree itself."""
+
+    @staticmethod
+    def tree(expr: str):
+        def shape(node):
+            if hasattr(node, "left"):
+                return (shape(node.left), node.op, shape(node.right))
+            if hasattr(node, "operand"):
+                return (node.op, shape(node.operand))
+            return node.value if hasattr(node, "value") else node.name
+
+        stmt = parse(f"func main() {{ print {expr}; }}").functions[0].body[0]
+        return shape(stmt.value)
+
+    @pytest.mark.parametrize(
+        "expr, shape",
+        [
+            ("1 - 2 - 3", ((1, "-", 2), "-", 3)),
+            ("1 || 2 && 3", (1, "||", (2, "&&", 3))),
+            ("1 && 2 || 3 && 4", ((1, "&&", 2), "||", (3, "&&", 4))),
+            ("a < b + c * d", ("a", "<", ("b", "+", ("c", "*", "d")))),
+            ("a * b + c < d == 0", None),  # rejected: == after <
+            ("-a * !b % c", ((("-", "a"), "*", ("!", "b")), "%", "c")),
+            ("a == b && c != d", (("a", "==", "b"), "&&", ("c", "!=", "d"))),
+            ("(a < b) == c", (("a", "<", "b"), "==", "c")),
+        ],
+    )
+    def test_shapes(self, expr, shape):
+        if shape is None:
+            with pytest.raises(LangError, match="expected ';'"):
+                self.tree(expr)
+        else:
+            assert self.tree(expr) == shape
+
+    def test_lines_come_from_operator_tokens(self):
+        program = parse("func main() {\n print 1\n +\n 2;\n}")
+        stmt = program.functions[0].body[0]
+        assert (stmt.line, stmt.value.line) == (2, 3)
 
 
 class TestProfilingIntegration:

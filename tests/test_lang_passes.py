@@ -1,6 +1,5 @@
 """Tests for the staged pass pipeline behind the optimizer facade."""
 
-import warnings
 from dataclasses import replace
 
 import pytest
@@ -88,43 +87,15 @@ class TestFacade:
         program = parse(SRC)
         assert generate(optimize(program, level=0)) == generate(program)
 
-    def test_historical_positional_bool_means_inline(self):
-        # the pre-pipeline spelling optimize(program, True)
-        program = parse(SRC)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert generate(optimize(program, True)) == generate(
-                optimize(program, level=2)
-            )
-            assert generate(optimize(program, False)) == generate(
-                optimize(program, level=1)
-            )
+    def test_bool_level_is_rejected(self):
+        # optimize(program, True) once meant "inline"; a bool is not a
+        # level, so it must not quietly run as level 1.
+        with pytest.raises(LangError, match="unknown optimization level"):
+            optimize(parse(SRC), True)
 
-    def test_inline_kwarg_warns_exactly_once(self):
-        import importlib
-
-        optimize_module = importlib.import_module("repro.lang.optimize")
-        program = parse(SRC)
-        optimize_module._warned_inline_kwarg = False
-        try:
-            with pytest.warns(DeprecationWarning, match="level=2"):
-                optimize(program, inline=True)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", DeprecationWarning)
-                optimize(program, inline=False)  # second use: silent
-        finally:
-            optimize_module._warned_inline_kwarg = False
-
-    def test_inline_kwarg_maps_to_levels(self):
-        program = parse(SRC)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert generate(optimize(program, inline=True)) == generate(
-                optimize(program, level=2)
-            )
-            assert generate(optimize(program, inline=False)) == generate(
-                optimize(program, level=1)
-            )
+    def test_inline_kwarg_is_gone(self):
+        with pytest.raises(TypeError, match="inline"):
+            optimize(parse(SRC), inline=True)
 
 
 class TestHintPreservation:

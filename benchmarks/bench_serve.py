@@ -166,7 +166,7 @@ def run_serve(quick: bool) -> tuple[dict, bool]:
         replayed = sum(s.since_checkpoint for s in stores.values())
 
         for tenant, slice_paths in assignments.items():
-            offline = dumps_gmon(tree_reduce(slice_paths, jobs=1))
+            offline = dumps_gmon(tree_reduce(slice_paths))
             recovered = stores[tenant].merged()
             if recovered != offline:
                 byte_identical = False

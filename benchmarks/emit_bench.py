@@ -2,21 +2,14 @@
 
 The first entry in the repo's perf trajectory.  For fleets of 10/100/
 1000 synthetic gmon files (one shared histogram layout, randomized
-counts and arcs) it times three ways of producing ``gmon.sum``:
+counts and arcs) it times the :mod:`repro.fleet` merge driver
+(``tree_reduce``) producing ``gmon.sum``.
 
-* ``legacy`` — the old pairwise fold:
-  ``reduce(lambda a, b: merge_profiles([a, b]), map(read_gmon, paths))``
-  (parse every file into objects, re-merge and re-condense at every
-  step);
-* ``driver`` — the :mod:`repro.fleet` tree-reduction driver with its
-  default worker count (in-process streaming accumulator on small
-  machines);
-* ``parallel`` — the same driver forced onto 2 worker processes.
-
-All three must produce **byte-identical** ``gmon.sum`` output; the
-runner exits with status 2 if they do not (the CI ``bench-smoke`` job
-leans on this).  Results go to ``BENCH_fleet.json`` as
-profiles-per-second so future PRs can extend the trajectory.
+The driver's output must be **byte-identical** to the flat
+``merge_profiles([read_gmon(p) for p in paths])`` reference, computed
+untimed; the runner exits with status 2 if it is not (the CI
+``bench-smoke`` job leans on this).  Results go to ``BENCH_fleet.json``
+as profiles-per-second so future PRs can extend the trajectory.
 
 Usage::
 
@@ -29,7 +22,6 @@ CI smoke runs; the committed BENCH_fleet.json comes from a full run.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import platform
@@ -77,15 +69,6 @@ def build_corpus(root: Path, n: int, nbuckets: int, narcs: int,
     return paths
 
 
-def legacy_pairwise_fold(paths: list[str]) -> ProfileData:
-    """The pre-fleet shape: parse everything, fold profiles pairwise."""
-    return functools.reduce(
-        lambda acc, path: merge_profiles([acc, read_gmon(path)]),
-        paths[1:],
-        read_gmon(paths[0]),
-    )
-
-
 def timed(fn, repeats: int):
     """(best wall-clock seconds, last result) over ``repeats`` runs."""
     best, result = float("inf"), None
@@ -107,37 +90,21 @@ def run(quick: bool) -> tuple[dict, bool]:
             paths = build_corpus(
                 root, n, cfg["nbuckets"], cfg["narcs"], cfg["arc_sites"]
             )
-            legacy_s, legacy_data = timed(
-                lambda: legacy_pairwise_fold(paths), cfg["repeats"]
-            )
             driver_s, driver_data = timed(
                 lambda: tree_reduce(paths), cfg["repeats"]
             )
-            parallel_s, parallel_data = timed(
-                lambda: tree_reduce(paths, jobs=2), cfg["repeats"]
-            )
-            legacy_bytes = dumps_gmon(legacy_data)
-            identical = (
-                dumps_gmon(driver_data) == legacy_bytes
-                and dumps_gmon(parallel_data) == legacy_bytes
-            )
+            reference = merge_profiles([read_gmon(p) for p in paths])
+            identical = dumps_gmon(driver_data) == dumps_gmon(reference)
             identical_everywhere &= identical
             row = {
                 "files": n,
-                "legacy_seconds": round(legacy_s, 6),
                 "driver_seconds": round(driver_s, 6),
-                "parallel_seconds": round(parallel_s, 6),
-                "legacy_profiles_per_sec": round(n / legacy_s, 1),
                 "driver_profiles_per_sec": round(n / driver_s, 1),
-                "parallel_profiles_per_sec": round(n / parallel_s, 1),
-                "speedup_driver_vs_legacy": round(legacy_s / driver_s, 2),
                 "byte_identical": identical,
             }
             rows.append(row)
             print(
-                f"  {n:>5} files: legacy {row['legacy_profiles_per_sec']:>9} p/s"
-                f"  driver {row['driver_profiles_per_sec']:>9} p/s"
-                f"  ({row['speedup_driver_vs_legacy']}x)"
+                f"  {n:>5} files: driver {row['driver_profiles_per_sec']:>9} p/s"
                 f"  identical={identical}"
             )
     report = {
@@ -165,7 +132,7 @@ SUITES = {
         "T-FLEET",
         "BENCH_fleet.json",
         run,
-        "parallel output differs from sequential",
+        "driver output differs from the flat merge_profiles fold",
     ),
     "vm": (
         "T-VM",

@@ -18,9 +18,8 @@ Options mirror the features the paper and retrospective describe:
   N arcs (the bounded NP-complete workaround);
 * ``--static`` — crawl the executable for static arcs (VM images only);
 * ``-s FILE`` / ``--sum FILE`` — write the summed data to FILE and
-  exit (gmon.sum); summing runs on the :mod:`repro.fleet`
-  tree-reduction driver, and GMON arguments may be glob patterns or
-  directories (``--jobs N`` sets the worker count);
+  exit (gmon.sum); summing runs on the :mod:`repro.fleet` merge
+  driver, and GMON arguments may be glob patterns or directories;
 * ``--min-percent`` — show only hot entries;
 * ``-f NAME`` — restrict the graph profile to NAME and everything it
   reaches (repeatable);
@@ -102,11 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write summed profile data to FILE and exit",
     )
     parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes for summing many gmon files "
-             "(default: one per CPU)",
-    )
-    parser.add_argument(
         "--min-percent", type=float, default=0.0,
         help="hide entries below this percentage of total time",
     )
@@ -178,7 +172,7 @@ def main(argv: list[str] | None = None) -> int:
             kernels.set_default_backend(opts.kernels)
         session = ProfileSession.from_image(opts.image)
         exe = session.exe
-        data = session.load(opts.gmon, salvage=opts.salvage, jobs=opts.jobs)
+        data = session.load(opts.gmon, salvage=opts.salvage)
         for _path, salvage_report in session.salvage_reports:
             if not salvage_report.clean:
                 print(salvage_report.render_text(), end="", file=sys.stderr)

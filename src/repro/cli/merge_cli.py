@@ -7,17 +7,17 @@ Usage::
 Each ``INPUT`` is a gmon file, a glob pattern (quoted, so the shell
 does not expand it first — though pre-expanded arguments work too), or
 a directory (every non-hidden file directly inside it, sorted).  The
-inputs are summed with the :mod:`repro.fleet` tree-reduction driver
-and written as ``gmon.sum`` (or ``-o FILE``) — the multi-run
-accumulation of §3 of the paper, at fleet scale.
+inputs are summed in one streaming pass by the :mod:`repro.fleet`
+merge driver and written as ``gmon.sum`` (or ``-o FILE``) — the
+multi-run accumulation of §3 of the paper, at fleet scale.
 
 Options:
 
 * ``-o FILE`` — output path (default ``gmon.sum``);
-* ``--jobs N`` — worker processes (default: one per CPU);
-* ``--salvage`` — read inputs with the salvaging parser; corrupt
-  files contribute their recovered prefix and the merged data carries
-  their degradation warnings;
+* ``--salvage`` — recover corrupt inputs instead of aborting: files
+  the strict parser rejects go through the salvaging parser, contribute
+  their recovered prefix, and the merged data carries their
+  degradation warnings;
 * ``--skip-incompatible`` — drop inputs whose histogram layout does
   not match the fleet's (default: abort naming the first mismatch);
 * ``--stats`` — print a merge summary table to stderr, including the
@@ -27,8 +27,8 @@ Options:
   ``REPRO_KERNELS`` environment variable;
 * ``-q`` — print nothing but errors.
 
-The output is deterministic: for the same inputs in the same order,
-any ``--jobs`` value produces a byte-identical file.
+The output is deterministic: the same inputs in the same order always
+produce a byte-identical file.
 """
 
 from __future__ import annotations
@@ -54,10 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "-o", "--output", default="gmon.sum", metavar="FILE",
         help="where to write the summed profile (default: gmon.sum)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes for the tree reduction (default: CPUs)",
     )
     parser.add_argument(
         "--salvage", action="store_true",
@@ -89,9 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit status."""
     opts = build_parser().parse_args(argv)
-    if opts.jobs is not None and opts.jobs < 1:
-        print("repro-merge: --jobs must be at least 1", file=sys.stderr)
-        return 2
     merge_stats: dict | None = {} if opts.stats else None
     try:
         if opts.kernels is not None:
@@ -99,7 +92,6 @@ def main(argv: list[str] | None = None) -> int:
         session = ProfileSession(None)
         data = session.load(
             opts.inputs,
-            jobs=opts.jobs,
             salvage=opts.salvage,
             on_incompatible="skip" if opts.skip_incompatible else "error",
             per_file_reports=False,

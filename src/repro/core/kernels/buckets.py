@@ -6,7 +6,7 @@ as the packed little-endian u32 blob it arrived in, so the fold can
 consume raw bytes without ever materializing per-input lists.
 
 Three accumulators, one contract: after any sequence of
-``fold_blob`` / ``fold_seq`` / ``fold`` calls, :meth:`to_list`
+``fold_blob`` / ``fold_seq`` calls, :meth:`to_list`
 returns exactly the per-bucket integer sums — bucket counts are
 non-negative integers, so every backend is exact and the results are
 identical, not merely close.
@@ -65,12 +65,6 @@ class BucketAccumulator:
         self._check(n, len(buf))
         for i in range(n):
             buf[i] += counts[i]
-        return self
-
-    def fold(self, other: "BucketAccumulator") -> "BucketAccumulator":
-        """Fold another accumulator (any backend) into this one."""
-        if not other.empty:
-            self.fold_seq(other.to_list())
         return self
 
     @staticmethod

@@ -9,15 +9,15 @@ files per program.  This package is that scale jump, in three layers:
   streaming single-table merge: one bucket array, one arc table,
   ``add()`` per input, O(total arcs) overall and no per-input object
   materialization when fed paths;
-* :mod:`repro.fleet.headers` — header peeking, layout digests and the
-  stat-validated :class:`HeaderCache`, so incompatible files are
-  rejected (or skipped) from a few hundred bytes before any real
-  parsing, with a structured :class:`~repro.errors.MergeError`;
-* :mod:`repro.fleet.reduce` — the multiprocessing tree-reduction
-  driver: chunk the inputs, stream each chunk through a worker-local
-  accumulator, fold the partials in input order.  Output is
-  byte-identical for any worker count, and identical to the
-  sequential ``merge_profiles([read_gmon(p) ...])`` fold.
+* :mod:`repro.fleet.headers` — header peeking and layout digests, so
+  incompatible files are rejected (or skipped) from a few hundred bytes
+  before any real parsing, with a structured
+  :class:`~repro.errors.MergeError`; its stat-validated
+  :class:`HeaderCache` serves callers that rescan the same files;
+* :mod:`repro.fleet.reduce` — the merge driver: expand the inputs,
+  precheck their headers, then stream every file, in input order,
+  through one accumulator.  Output is byte-identical to the sequential
+  ``merge_profiles([read_gmon(p) ...])`` fold.
 
 The ``repro-merge`` CLI and ``repro-gprof --sum`` sit on top;
 ``benchmarks/emit_bench.py`` tracks the throughput trajectory in
@@ -25,10 +25,9 @@ The ``repro-merge`` CLI and ``repro-gprof --sum`` sit on top;
 """
 
 from repro.fleet.accumulator import ProfileAccumulator, empty_profile_like
-from repro.fleet.headers import HeaderCache, HeaderKey, scan_headers
+from repro.fleet.headers import HeaderCache, HeaderKey
 from repro.fleet.reduce import (
     expand_inputs,
-    merge_paths,
     precheck_headers,
     tree_reduce,
     write_sum,
@@ -40,9 +39,7 @@ __all__ = [
     "ProfileAccumulator",
     "empty_profile_like",
     "expand_inputs",
-    "merge_paths",
     "precheck_headers",
-    "scan_headers",
     "tree_reduce",
     "write_sum",
 ]

@@ -20,11 +20,7 @@ adds each input into them:
   and with the fast backends not even per-bucket ints, are ever built
   for the input;
 * ``add(profile)`` accepts an already-materialized
-  :class:`~repro.core.profiledata.ProfileData` (e.g. a salvaged one);
-* ``merge_from(other)`` combines two partial accumulators, which is
-  what the tree-reduction driver (:mod:`repro.fleet.reduce`) does with
-  the partial sums coming back from worker processes.  Partials from
-  different backends combine through the canonical representations.
+  :class:`~repro.core.profiledata.ProfileData` (e.g. a salvaged one).
 
 ``result()`` materializes a ProfileData that is *equal to* — and after
 :func:`~repro.gmon.write_gmon`, *byte-identical to* — what
@@ -41,16 +37,14 @@ an empty sequence — the empty accumulator is the merge identity, not a
 profile.
 
 ``ProfileAccumulator(timed=True)`` additionally splits wall time into
-parse vs fold (``repro-merge --stats`` surfaces the split); the
-timings ride along through ``merge_from`` so the tree reduction can
-report fleet-wide throughput per phase.
+parse vs fold (``repro-merge --stats`` surfaces the split).
 """
 
 from __future__ import annotations
 
 import os
 import time
-from typing import Iterable, Union
+from typing import Union
 
 from repro.core import kernels
 from repro.core.arcs import RawArc
@@ -77,8 +71,7 @@ class ProfileAccumulator:
             must match (established by the first input; None while
             empty).
         runs: total executions summed so far.
-        profiles_added: number of inputs accumulated (merging another
-            accumulator adds its count).
+        profiles_added: number of inputs accumulated.
         timings: parse/fold wall-time split when constructed with
             ``timed=True``, else None.
     """
@@ -122,13 +115,21 @@ class ProfileAccumulator:
             source = source or str(path)
             with open(path, "rb") as f:
                 blob = f.read()
+        return self.add_raw(self.parse(blob), source)
+
+    def parse(self, blob: bytes) -> RawGmon:
+        """Strictly parse ``blob`` into wire form, timing it when timed.
+
+        Raises :class:`~repro.errors.GmonFormatError` exactly as
+        :func:`repro.gmon.parse_gmon_raw` does; nothing is folded.
+        """
         if self.timings is None:
-            return self.add_raw(parse_gmon_raw(blob), source)
+            return parse_gmon_raw(blob)
         t0 = time.perf_counter()
         raw = parse_gmon_raw(blob)
         self.timings["parse_seconds"] += time.perf_counter() - t0
         self.timings["bytes"] += len(blob)
-        return self.add_raw(raw, source)
+        return raw
 
     def add_raw(self, raw: RawGmon, source: str | None = None) -> "ProfileAccumulator":
         """Accumulate a wire-form profile (the fast path).
@@ -183,14 +184,6 @@ class ProfileAccumulator:
         self.profiles_added += 1
         return self
 
-    def add_all(
-        self, items: Iterable[Addable]
-    ) -> "ProfileAccumulator":
-        """Accumulate every item of an iterable, in order."""
-        for item in items:
-            self.add(item)
-        return self
-
     def add_warning(self, warning: str) -> "ProfileAccumulator":
         """Attach a degradation warning to the eventual result.
 
@@ -199,33 +192,6 @@ class ProfileAccumulator:
         even though the gmon wire format does not carry it.
         """
         self._warnings.append(warning)
-        return self
-
-    def merge_from(self, other: "ProfileAccumulator") -> "ProfileAccumulator":
-        """Fold another (partial) accumulator into this one.
-
-        Order matters only for the comment/warning concatenation: the
-        tree-reduction driver always folds partials in input order, so
-        any worker count yields identical output.  The partials need
-        not share a kernel backend — folding goes through the
-        canonical list/dict forms, which every backend produces
-        exactly.
-        """
-        if other.key is None:
-            return self
-        if self.key is not None:
-            self._accept_key(other.key, None)
-        else:
-            self.key = other.key
-        self._buckets.fold(other._buckets)
-        self._arcs.fold(other._arcs)
-        self.runs += other.runs
-        self._comments.extend(other._comments)
-        self._warnings.extend(other._warnings)
-        self.profiles_added += other.profiles_added
-        if self.timings is not None and other.timings is not None:
-            for k, v in other.timings.items():
-                self.timings[k] = self.timings.get(k, 0) + v
         return self
 
     def _accept_key(self, key: HeaderKey, source: str | None) -> None:

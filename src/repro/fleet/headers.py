@@ -111,11 +111,3 @@ class HeaderCache:
         with self._lock:
             return len(self._entries)
 
-
-def scan_headers(
-    paths, cache: HeaderCache | None = None
-) -> list[tuple[str, GmonHeader]]:
-    """Peek every path's header, in order."""
-    if cache is None:  # NB: an empty HeaderCache is falsy (it has __len__)
-        cache = HeaderCache()
-    return [(os.fspath(p), cache.peek(p)) for p in paths]

@@ -1,15 +1,9 @@
-"""The tree-reduction merge driver: thousands of gmon files, bounded memory.
+"""The merge driver: thousands of gmon files, bounded memory.
 
-Topology: the input paths are split into contiguous chunks (in input
-order); each worker streams one chunk through its own
-:class:`~repro.fleet.ProfileAccumulator` (memory per worker is one
-bucket array plus one arc table, regardless of chunk length); the
-partial accumulators are folded in **chunk order** into the final sum.
-That order rule is the whole determinism story — workers may finish in
-any order on any number of processes, but the reduction always folds
-partial[0], partial[1], ... — so the resulting ``gmon.sum`` is
-byte-identical whether the merge ran on 1 process or 16, and identical
-to the legacy sequential ``merge_profiles([read_gmon(p) ...])``.
+:func:`tree_reduce` streams the input paths, in input order, through one
+:class:`~repro.fleet.ProfileAccumulator` — one bucket array plus one arc
+table, whatever the fleet size — so the resulting ``gmon.sum`` is
+byte-identical to the sequential ``merge_profiles([read_gmon(p) ...])``.
 
 Before any bucket data is parsed, a header precheck
 (:mod:`repro.fleet.headers`) peeks every file's fixed-size prefix and
@@ -18,9 +12,11 @@ naming the first incompatible path, or — with
 ``on_incompatible="skip"`` — drops mismatches with a warning on the
 merged result.
 
-Salvage mode (``salvage=True``) reads every input through the
-salvaging parser instead: corrupt files contribute their recovered
-prefix and their degradation warnings propagate into the merged
+Salvage mode (``salvage=True``) recovers corrupt inputs instead of
+failing: each file is parsed strictly first, and only a file the strict
+parser rejects, or one declaring ``runs == 0``, goes through the
+salvaging parser.  Corrupt files contribute their recovered prefix and
+their degradation warnings propagate into the merged
 ``ProfileData.warnings``.
 """
 
@@ -33,25 +29,10 @@ from typing import Sequence
 
 from repro.core.profiledata import ProfileData
 from repro.errors import GmonFormatError, MergeError
-from repro.gmon.format import salvage_gmon_bytes
+from repro.gmon.format import peek_gmon_header, salvage_gmon_bytes
 
 from repro.fleet.accumulator import ProfileAccumulator
 from repro.fleet.headers import HeaderCache, HeaderKey
-
-#: Below this many inputs, process overhead dwarfs the merge itself and
-#: the driver stays in-process even when ``jobs`` allows more.
-MIN_FILES_PER_WORKER = 32
-
-#: Seconds a partial merge may take before the driver gives up on its
-#: worker and re-merges the chunk sequentially (see :func:`tree_reduce`).
-DEFAULT_WORKER_TIMEOUT = 300.0
-
-#: Test seam: when set, every worker calls this with its chunk's paths
-#: before merging — the regression suite uses it to make a worker
-#: ``os._exit`` or hang, in the spirit of
-#: :class:`repro.resilience.FaultInjector`.  Propagates to workers via
-#: the ``fork`` start method.
-_chunk_fault_hook = None
 
 
 def _dedup_by_inode(matches: list[str]) -> list[str]:
@@ -139,18 +120,18 @@ def precheck_headers(
     with ``"skip"`` mismatching files are dropped and described in the
     returned warnings.  In salvage mode files whose very header is
     unreadable are left in the list — the salvaging parser deals with
-    them — instead of failing the precheck.
+    them — instead of failing the precheck.  A ``cache`` serves repeated
+    scans of the same files; without one the headers are read directly.
     """
     if on_incompatible not in ("error", "skip"):
         raise ValueError(f"unknown on_incompatible {on_incompatible!r}")
-    if cache is None:  # NB: an empty HeaderCache is falsy (it has __len__)
-        cache = HeaderCache()
+    peek = peek_gmon_header if cache is None else cache.peek
     expected: HeaderKey | None = None
     keep: list[str] = []
     warnings: list[str] = []
     for path in paths:
         try:
-            key = HeaderKey.of(cache.peek(path))
+            key = HeaderKey.of(peek(path))
         except GmonFormatError:
             if salvage:
                 # the salvaging reader will recover what it can
@@ -177,151 +158,79 @@ def precheck_headers(
     return keep, warnings
 
 
-def _merge_chunk(args: tuple[list[str], bool, bool]) -> ProfileAccumulator:
-    """Worker body: stream one chunk of paths into a fresh accumulator."""
-    paths, salvage, timed = args
-    if _chunk_fault_hook is not None:
-        _chunk_fault_hook(paths)
-    acc = ProfileAccumulator(timed=timed)
-    for path in paths:
-        if salvage:
-            with open(path, "rb") as f:
-                data, _report = salvage_gmon_bytes(f.read(), source=str(path))
-            acc.add_profile(data, source=str(path))
-        else:
-            acc.add(path)
-    return acc
+def _fold_salvaging(acc: ProfileAccumulator, path: str) -> None:
+    """Fold one input in salvage mode: strict first, salvage on failure.
 
-
-def _chunked(paths: list[str], nchunks: int) -> list[list[str]]:
-    """Split ``paths`` into ``nchunks`` contiguous, near-equal chunks."""
-    nchunks = max(min(nchunks, len(paths)), 1)
-    size, extra = divmod(len(paths), nchunks)
-    chunks, start = [], 0
-    for i in range(nchunks):
-        end = start + size + (1 if i < extra else 0)
-        chunks.append(paths[start:end])
-        start = end
-    return chunks
+    A file that parses strictly and declares ``runs != 0`` is exactly a
+    file the salvaging reader reports clean, with equal data and no
+    warnings (``python -m tests.corrupt_corpus --verify`` asserts this
+    on every mutant), so it takes the fast wire path.  Everything else
+    goes through :func:`salvage_gmon_bytes`: corrupt files contribute
+    their recovered prefix, and zero-runs files keep the salvaging
+    reader's path-labelled warning.
+    """
+    with open(path, "rb") as f:
+        blob = f.read()
+    try:
+        raw = acc.parse(blob)
+    except GmonFormatError:
+        raw = None
+    if raw is not None and raw.runs != 0:
+        acc.add_raw(raw, source=path)
+        return
+    data, _report = salvage_gmon_bytes(blob, source=path)
+    acc.add_profile(data, source=path)
 
 
 def tree_reduce(
     paths: Sequence[str],
-    jobs: int | None = None,
+    jobs: int = 1,
     salvage: bool = False,
-    precheck: bool = True,
     on_incompatible: str = "error",
-    cache: HeaderCache | None = None,
-    worker_timeout: float | None = None,
     stats_out: dict | None = None,
 ) -> ProfileData:
-    """Merge many gmon files into one ProfileData, possibly in parallel.
+    """Merge many gmon files into one ProfileData, in one streaming fold.
 
     Arguments:
         paths: gmon files, in merge order (use :func:`expand_inputs`
             to turn globs/directories into such a list).
-        jobs: worker processes; None picks ``os.cpu_count()``; 1 (or a
-            fleet too small to split) merges in-process.
-        salvage: read inputs through the salvaging parser; corrupt
-            files contribute their recovered prefix plus warnings.
-        precheck: peek all headers first and fail (or skip) early.
-        on_incompatible: ``"error"`` (default) or ``"skip"``.
-        worker_timeout: seconds to wait for each worker's partial
-            before declaring it crashed or hung (default
-            :data:`DEFAULT_WORKER_TIMEOUT`).  A chunk whose worker
-            never answers — killed, ``os._exit``, wedged — is
-            re-merged sequentially in-process with a warning on the
-            result, so a dying worker can neither hang the merge nor
-            lose its chunk.
+        jobs: accepted only as 1, for callers that still pass it; any
+            other value raises ``ValueError``.
+        salvage: recover corrupt inputs instead of failing; they
+            contribute their recovered prefix plus warnings.
+        on_incompatible: ``"error"`` (default) or ``"skip"``, applied
+            by the header precheck before any bucket data is read.
         stats_out: optional dict to fill with merge telemetry — the
-            kernel backend name plus the fleet-wide parse vs fold
-            wall-time split (``repro-merge --stats`` surfaces it).
-            Passing one turns on timed accumulators everywhere; with
-            workers the per-chunk splits ride home on the partials and
-            sum, so the split covers the whole fleet.
+            kernel backend name plus the parse vs fold wall-time split
+            (``repro-merge --stats`` surfaces it).
 
     Returns data equal to ``merge_profiles([read_gmon(p) for p in
-    paths])`` — byte-identical after :func:`~repro.gmon.write_gmon` —
-    for every worker count, including runs where workers crashed.
+    paths])`` — byte-identical after :func:`~repro.gmon.write_gmon`.
     """
+    if jobs != 1:
+        raise ValueError(f"jobs must be 1, got {jobs!r}")
     paths = [os.fspath(p) for p in paths]
     if not paths:
         raise MergeError("cannot merge zero profiles")
-    skip_warnings: list[str] = []
-    if precheck:
-        paths, skip_warnings = precheck_headers(
-            paths, cache=cache, on_incompatible=on_incompatible,
-            salvage=salvage,
+    paths, skip_warnings = precheck_headers(
+        paths, on_incompatible=on_incompatible, salvage=salvage,
+    )
+    if not paths:
+        raise MergeError(
+            "no mergeable profiles left after the header precheck"
         )
-        if not paths:
-            raise MergeError(
-                "no mergeable profiles left after the header precheck"
-            )
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    jobs = min(jobs, max(len(paths) // MIN_FILES_PER_WORKER, 1))
-    timed = stats_out is not None
-    fallback_warnings: list[str] = []
-    if jobs <= 1:
-        acc = _merge_chunk((paths, salvage, timed))
-    else:
-        import multiprocessing
-
-        if worker_timeout is None:
-            worker_timeout = DEFAULT_WORKER_TIMEOUT
-        # ~4 chunks per worker keeps the pool busy even when some
-        # chunks hit slower storage; results are collected per chunk so
-        # one dead worker costs one bounded wait, not a hang.
-        chunks = _chunked(paths, jobs * 4)
-        partials: list[ProfileAccumulator | None] = [None] * len(chunks)
-        failed: list[int] = []
-        with multiprocessing.Pool(jobs) as pool:
-            pending = [
-                pool.apply_async(_merge_chunk, ((c, salvage, timed),))
-                for c in chunks
-            ]
-            for i, res in enumerate(pending):
-                try:
-                    partials[i] = res.get(worker_timeout)
-                except multiprocessing.TimeoutError:
-                    # The worker crashed (its task is lost forever) or
-                    # is wedged; either way the chunk is re-merged
-                    # below and the pool is torn down on context exit
-                    # (terminate, bounded), not joined indefinitely.
-                    failed.append(i)
-        for i in failed:
-            fallback_warnings.append(
-                f"merge worker for chunk {i + 1}/{len(chunks)} "
-                f"({len(chunks[i])} file(s)) did not answer within "
-                f"{worker_timeout:g}s (crashed or hung); chunk re-merged "
-                "sequentially in-process"
-            )
-            partials[i] = _merge_chunk((chunks[i], salvage, timed))
-        acc = ProfileAccumulator(timed=timed)
-        for partial in partials:  # chunk order == input order: deterministic
-            acc.merge_from(partial)
+    acc = ProfileAccumulator(timed=stats_out is not None)
+    for path in paths:
+        if salvage:
+            _fold_salvaging(acc, path)
+        else:
+            acc.add(path)
     data = acc.result()
     if stats_out is not None:
         stats_out["kernel_backend"] = acc.backend_name
-        stats_out.update(acc.timings or {})
-    if skip_warnings:
-        data.warnings.extend(skip_warnings)
-    if fallback_warnings:
-        data.warnings.extend(fallback_warnings)
+        stats_out.update(acc.timings)
+    data.warnings.extend(skip_warnings)
     return data
-
-
-def merge_paths(
-    specs: Sequence[str],
-    jobs: int | None = None,
-    salvage: bool = False,
-    on_incompatible: str = "error",
-) -> ProfileData:
-    """Convenience front door: expand specs, then :func:`tree_reduce`."""
-    return tree_reduce(
-        expand_inputs(specs), jobs=jobs, salvage=salvage,
-        on_incompatible=on_incompatible,
-    )
 
 
 def write_sum(data: ProfileData, path) -> Path:

@@ -5,8 +5,8 @@ expand gmon arguments, read (strictly or through the salvaging parser),
 merge, lint, analyze.  ``ProfileSession`` is that plumbing, once:
 
 * :meth:`from_image` loads a VM executable or a bare symbol table;
-* :meth:`load` expands specs and merges them (fleet tree-reduction, or
-  the per-file salvaging loop that keeps each file's
+* :meth:`load` expands specs and merges them (the fleet merge driver,
+  or the per-file salvaging loop that keeps each file's
   :class:`~repro.gmon.SalvageReport`);
 * :meth:`read_each` reads files individually (what ``repro-check``
   wants — each file is validated on its own, not merged);
@@ -92,21 +92,20 @@ class ProfileSession:
         specs,
         *,
         salvage: bool = False,
-        jobs: int | None = None,
         on_incompatible: str = "error",
         per_file_reports: bool = True,
         stats_out: dict | None = None,
     ) -> ProfileData:
         """Expand ``specs`` and merge every input into one ProfileData.
 
-        Strict mode rides the :mod:`repro.fleet` tree reduction (the
-        deterministic, parallelizable path).  Salvage mode reads file
-        by file so each one's :class:`SalvageReport` survives — they
-        land in :attr:`salvage_reports`, their GP4xx findings in
-        :attr:`gmon_diagnostics`, and the recovered data merges with
-        its degradation warnings attached.  Pass
-        ``per_file_reports=False`` to trade the reports for the
-        parallel tree reduction (fleet-sized salvage merges); the
+        Strict mode rides the :mod:`repro.fleet` merge driver.  Salvage
+        mode reads file by file so each one's :class:`SalvageReport`
+        survives — they land in :attr:`salvage_reports`, their GP4xx
+        findings in :attr:`gmon_diagnostics`, and the recovered data
+        merges with its degradation warnings attached.  Pass
+        ``per_file_reports=False`` to salvage through the merge driver
+        instead: no reports are kept, but the header precheck (and
+        ``on_incompatible``) applies and ``stats_out`` is filled; the
         recovered data still carries its degradation warnings.
         ``stats_out`` is handed to :func:`tree_reduce` to collect the
         kernel backend and parse/fold wall-time split.
@@ -115,7 +114,7 @@ class ProfileSession:
         self.paths += [str(p) for p in paths]
         if not salvage or not per_file_reports:
             return tree_reduce(
-                paths, jobs=jobs, salvage=salvage,
+                paths, salvage=salvage,
                 on_incompatible=on_incompatible,
                 stats_out=stats_out,
             )

@@ -19,7 +19,11 @@ corpus; without it the mutants stay in memory.  ``--verify`` asserts
 the resilience contract over the whole corpus:
 
 * strict parsing raises :class:`GmonFormatError` and nothing else;
-* salvage *never* raises, and never reports a truncated file clean.
+* salvage *never* raises, and never reports a truncated file clean;
+* the strict-first rule that salvage merges (:mod:`repro.fleet.reduce`)
+  rely on: a file strict parsing accepts with ``runs != 0`` is one
+  salvage reports clean, with equal data and no warnings, and every
+  other file salvage reports damaged.
 
 The CI fault-injection job runs this with ``--verify`` over all
 programs; :mod:`tests.test_corrupt_corpus` smoke-tests a small slice.
@@ -32,7 +36,9 @@ import os
 import sys
 
 from repro.errors import GmonFormatError
-from repro.gmon import dumps_gmon, parse_gmon, salvage_gmon_bytes
+from repro.gmon import (
+    dumps_gmon, parse_gmon, parse_gmon_raw, salvage_gmon_bytes,
+)
 from repro.machine import CPU, Monitor, MonitorConfig, assemble
 from repro.machine.programs import PROGRAMS
 from repro.resilience import all_truncations, random_bit_flips
@@ -62,20 +68,29 @@ def mutants(blob: bytes, flips: int, stride: int = 1, seed: int = 0):
 def check_mutant(tag: str, truncated: bool, mutated: bytes) -> str | None:
     """Verify one mutant; return an error description or None."""
     try:
-        parse_gmon(mutated)
-        strict_ok = True
+        strict = parse_gmon(mutated)
     except GmonFormatError:
-        strict_ok = False
+        strict = None
     except Exception as exc:  # noqa: BLE001 - the whole point of the gate
         return f"{tag}: strict raised {type(exc).__name__}: {exc}"
     try:
-        _, report = salvage_gmon_bytes(mutated, source=tag)
+        salvaged, report = salvage_gmon_bytes(mutated, source=tag)
     except Exception as exc:  # noqa: BLE001
         return f"{tag}: salvage raised {type(exc).__name__}: {exc}"
     if truncated and report.clean:
         return f"{tag}: truncated file reported clean (silent lie)"
-    if not strict_ok and report.clean:
-        return f"{tag}: strict rejected it but salvage reported clean"
+    if strict is None:
+        if report.clean:
+            return f"{tag}: strict rejected it but salvage reported clean"
+        return None
+    if parse_gmon_raw(mutated).runs == 0:
+        if report.clean:
+            return f"{tag}: declares runs == 0 but salvage reported clean"
+        return None
+    if not report.clean:
+        return f"{tag}: strict accepted it but salvage reported damage"
+    if salvaged.warnings or dumps_gmon(salvaged) != dumps_gmon(strict):
+        return f"{tag}: salvage data differs from the strict parse"
     return None
 
 
@@ -107,7 +122,8 @@ def run(programs, flips: int, stride: int, out: str | None,
     for problem in failures:
         log(f"FAIL {problem}")
     if verify and not failures:
-        log("verify: strict raises only GmonFormatError; salvage never raises")
+        log("verify: strict raises only GmonFormatError; salvage never "
+            "raises; strict-first holds")
     return len(failures)
 
 

@@ -6,9 +6,8 @@ Two halves:
   per-call estimate" — checked on every pytest run, not only under
   pytest-benchmark (it used to live solely in ``bench_merge.py``);
 * the :mod:`repro.fleet` driver: input expansion, header precheck,
-  tree reduction determinism (byte-identical output for any worker
-  count), salvage propagation, and the ``repro-merge`` /
-  ``repro-gprof --sum`` CLIs.
+  byte-identity with the sequential ``merge_profiles`` fold, salvage
+  propagation, and the ``repro-merge`` / ``repro-gprof --sum`` CLIs.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from repro.fleet import (
     HeaderKey,
     ProfileAccumulator,
     expand_inputs,
-    merge_paths,
     precheck_headers,
     tree_reduce,
 )
@@ -184,31 +182,28 @@ class TestHeaderPrecheck:
         assert cache.hits == 5
 
 
-# -- the tree-reduction driver ----------------------------------------------------
+# -- the merge driver -------------------------------------------------------------
 
 
 class TestTreeReduce:
     def test_matches_the_sequential_fold_byte_for_byte(self, tmp_path):
         paths = _synthetic_fleet(tmp_path, 30)
         sequential = merge_profiles([read_gmon(p) for p in paths])
-        assert dumps_gmon(tree_reduce(paths, jobs=1)) == dumps_gmon(sequential)
-
-    def test_worker_count_never_changes_the_bytes(self, tmp_path, monkeypatch):
-        import repro.fleet.reduce as reduce_mod
-
-        monkeypatch.setattr(reduce_mod, "MIN_FILES_PER_WORKER", 1)
-        paths = _synthetic_fleet(tmp_path, 17)
-        reference = dumps_gmon(tree_reduce(paths, jobs=1))
-        for jobs in (2, 3):
-            assert dumps_gmon(tree_reduce(paths, jobs=jobs)) == reference
+        assert dumps_gmon(tree_reduce(paths)) == dumps_gmon(sequential)
 
     def test_merge_paths_expands_globs_and_directories(self, tmp_path):
         paths = _synthetic_fleet(tmp_path, 6)
-        reference = dumps_gmon(tree_reduce(sorted(paths), jobs=1))
-        via_glob = merge_paths([str(tmp_path / "gmon_*.out")], jobs=1)
-        via_dir = merge_paths([str(tmp_path)], jobs=1)
+        reference = dumps_gmon(tree_reduce(sorted(paths)))
+        via_glob = tree_reduce(expand_inputs([str(tmp_path / "gmon_*.out")]))
+        via_dir = tree_reduce(expand_inputs([str(tmp_path)]))
         assert dumps_gmon(via_glob) == reference
         assert dumps_gmon(via_dir) == reference
+
+    def test_only_one_job_is_accepted(self, tmp_path):
+        paths = _synthetic_fleet(tmp_path, 2)
+        for jobs in (0, 2, None):
+            with pytest.raises(ValueError, match="jobs must be 1"):
+                tree_reduce(paths, jobs=jobs)
 
     def test_zero_inputs_raise(self):
         with pytest.raises(MergeError, match="zero profiles"):
@@ -220,8 +215,8 @@ class TestTreeReduce:
         torn = tmp_path / "gmon_0000.out"
         torn.write_bytes(blob[:-10])  # tear inside the arc table
         with pytest.raises(GmonFormatError):
-            tree_reduce(paths, jobs=1)
-        merged = tree_reduce(paths, jobs=1, salvage=True)
+            tree_reduce(paths)
+        merged = tree_reduce(paths, salvage=True)
         assert merged.degraded
         assert any(
             "arc table truncated" in w and str(torn) in w
@@ -235,7 +230,7 @@ class TestTreeReduce:
         data = read_gmon(good[0]).copy()
         data.runs = 0
         write_gmon(data, chk)
-        merged = tree_reduce(good + [str(chk)], jobs=1)
+        merged = tree_reduce(good + [str(chk)])
         assert merged.runs == 2  # 1 + clamped 1
         assert any("runs == 0" in w for w in merged.warnings)
 
@@ -247,7 +242,7 @@ class TestTreeReduce:
         b = read_gmon(paths[1]).copy()
         b.runs = 4
         write_gmon(b, paths[1])
-        assert tree_reduce(paths, jobs=1).runs == 7
+        assert tree_reduce(paths).runs == 7
 
 
 # -- the accumulator directly -----------------------------------------------------
@@ -328,11 +323,6 @@ class TestMergeCli:
         assert merge_main(["-o", str(out), "--salvage", str(tmp_path)]) == 0
         assert "salvage" in capsys.readouterr().err
         assert read_gmon(out).runs == 3
-
-    def test_bad_jobs_rejected(self, capsys):
-        from repro.cli.merge_cli import main as merge_main
-
-        assert merge_main(["--jobs", "0", "whatever"]) == 2
 
     def test_stats_report_backend_and_phase_split(self, tmp_path, capsys):
         from repro.cli.merge_cli import main as merge_main

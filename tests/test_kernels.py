@@ -142,17 +142,11 @@ class TestBuckets:
         with pytest.raises(KernelBackendError):
             acc.fold_blob(pack_buckets([1, 2, 3, 4]))
 
-    def test_cross_backend_fold(self, backend):
-        for other_name in BACKENDS:
-            other = kernels.get_backend(other_name).bucket_acc()
-            other.fold_blob(pack_buckets([1, 2, 3]))
-            acc = self.make(backend).fold_seq([10, 20, 30])
-            acc.fold(other)
-            assert acc.to_list() == [11, 22, 33]
-
     def test_fold_of_empty_is_identity(self, backend):
+        """The empty profile's all-zero vector is the fold's identity."""
         acc = self.make(backend).fold_seq([7, 8])
-        acc.fold(self.make(backend))
+        acc.fold_seq([0, 0])
+        acc.fold_blob(pack_buckets([0, 0]))
         assert acc.to_list() == [7, 8]
 
     def test_saturated_blob_storm(self, backend):
@@ -235,13 +229,57 @@ class TestArcs:
         t.fold_blob(pack_arcs([(1, 2, 10)]))
         assert t.as_dict() == {(1, 2): 13}
 
-    def test_cross_backend_fold(self, backend):
-        for other_name in BACKENDS:
-            other = kernels.get_backend(other_name).arc_table()
-            other.fold_blob(pack_arcs([(1, 2, 3), (4, 5, 6)]))
-            t = self.make(backend).fold_items([(1, 2, 1)])
-            t.fold(other)
-            assert t.as_dict() == {(1, 2): 4, (4, 5): 6}
+
+def test_numpy_arc_table_bounds_pending_records():
+    """Pending blobs are condensed at the bound, not kept until read."""
+    if not kernels.HAVE_NUMPY:
+        pytest.skip("numpy not available")
+    limit = karcs.MAX_PENDING_RECORDS
+    blob = pack_arcs([(0x1000 + 4 * i, 0x2000 + 4 * (i % 7), i + 1)
+                      for i in range(1000)])
+    table = karcs.NumpyArcTable()
+    reference = karcs.ArcTable()
+    for _ in range(3 * limit // 1000):
+        table.fold_blob(blob)
+        reference.fold_blob(blob)
+        assert sum(len(b) for b in table._pending) // karcs._ARC.size < limit
+    assert table.as_dict() == reference.as_dict()
+
+
+@pytest.mark.parametrize(
+    "layout", ["shared", "callers-differ", "callees-differ", "varied"])
+def test_numpy_arc_table_flush_paths(layout):
+    """Every flush path condenses to the reference table.
+
+    ``shared``: every blob holds the same keys in the same order (the
+    column-sum path), duplicate pairs included; ``callers-differ`` and
+    ``callees-differ``: equal lengths, one PC column permuted per blob;
+    ``varied``: each blob its own key set and length.
+    """
+    if not kernels.HAVE_NUMPY:
+        pytest.skip("numpy not available")
+    import random
+
+    rng = random.Random(7)
+    froms = [0x1000 + 4 * rng.randrange(300) for _ in range(200)]
+    selfs = [0x2000 + 4 * rng.randrange(20) for _ in range(200)]
+    froms += froms[:5]  # duplicate pairs inside one blob
+    selfs += selfs[:5]
+    table = karcs.NumpyArcTable()
+    reference = karcs.ArcTable()
+    for _ in range(3 * karcs.MAX_PENDING_RECORDS // len(froms)):
+        keys = list(zip(froms, selfs))
+        if layout == "callers-differ":
+            rng.shuffle(froms)
+        elif layout == "callees-differ":
+            rng.shuffle(selfs)
+        elif layout == "varied":
+            keys = keys[:rng.randrange(1, len(keys) + 1)]
+            keys.append((0xFFFFFFFFFFFF, rng.randrange(1 << 40)))
+        blob = pack_arcs([(f, s, rng.randrange(1 << 32)) for f, s in keys])
+        table.fold_blob(blob)
+        reference.fold_blob(blob)
+    assert table.as_dict() == reference.as_dict()
 
 
 # -- apportionment spans -----------------------------------------------------

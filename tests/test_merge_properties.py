@@ -143,38 +143,12 @@ def test_single_element_merge_copies_not_mutates(profiles):
     assert dumps_gmon(p) == before
 
 
-@settings(deadline=None, max_examples=60)
-@given(fleets(min_size=2), st.data())
-def test_accumulator_regrouping_matches_flat_merge(profiles, data):
-    """Bucket/arc counts are idempotent under any chunked re-grouping.
-
-    Feeding the profiles through chunked accumulators folded in order
-    (exactly what the tree-reduction driver does with worker partials)
-    is byte-identical to the flat sequential merge.
-    """
-    nchunks = data.draw(st.integers(min_value=1, max_value=len(profiles)))
-    bounds = sorted(
-        data.draw(
-            st.lists(st.integers(min_value=0, max_value=len(profiles)),
-                     min_size=nchunks - 1, max_size=nchunks - 1)
-        )
-    )
-    edges = [0] + bounds + [len(profiles)]
-    total = ProfileAccumulator()
-    for lo, hi in zip(edges, edges[1:]):
-        part = ProfileAccumulator()
-        for p in profiles[lo:hi]:
-            part.add_profile(p)
-        total.merge_from(part)
-    assert dumps_gmon(total.result()) == dumps_gmon(merge_profiles(profiles))
-
-
 @settings(deadline=None, max_examples=30)
 @given(profiles=fleets())
 def test_accumulator_path_feed_matches_merge_after_roundtrip(
     tmp_path_factory, profiles
 ):
-    """merge(sequential) == merge(tree) byte-for-byte via real files."""
+    """merge(sequential) == the streaming accumulator, via real files."""
     tmp_path = tmp_path_factory.mktemp("fleet")
     paths = []
     for i, p in enumerate(profiles):

@@ -59,7 +59,7 @@ def run_at_scale(scale: float):
         MonitorConfig(exe.low_pc, exe.high_pc, scale=scale, cycles_per_tick=7)
     )
     CPU(exe, mon).run()
-    times = mon.histogram.assign_samples(exe.symbol_table())
+    times = mon.histogram.time_for_symbols(exe.symbol_table())
     return mon.histogram, times
 
 

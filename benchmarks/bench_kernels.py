@@ -1,19 +1,23 @@
-"""T-KERN runner: per-kernel backend throughput + the byte-identity gate.
+"""T-KERN runner: each kernel's production path against its reference.
 
 Times the four bulk kernels of :mod:`repro.core.kernels` — bucket
-folding, arc condensing, span apportionment, and §4 propagation — on
-every available backend against the python reference, at fleet scale
-(1000 wire inputs for the fold kernels, a 64k-bucket layout for
-apportionment).
+folding, arc condensing, span apportionment, and §4 propagation — at
+fleet scale (1000 wire inputs for the fold kernels, a 64k-bucket
+layout for apportionment).  Each kernel has one production
+implementation on this host (the numpy folds where numpy imports, the
+prefix-sum apportionment, the scalar plan solve); the folds and
+apportionment also keep a python reference, and propagation has only
+its one solver, so its row carries a single timing.
 
 Two numbers matter:
 
-* **speedup**: best non-python backend vs the reference, per kernel
-  (the acceptance bar is ≥3x on at least two kernels);
-* **identical**: every backend's result compared *exactly* (integer
-  lists, arc dicts, float dicts, solve columns) plus one end-to-end
-  check that a merged fleet re-serializes to byte-identical ``gmon``
-  bytes on every backend.  Any mismatch makes the driver exit 2.
+* **speedup**: production vs the reference, per kernel;
+* **identical**: each production result compared *exactly* with the
+  reference (integer lists, arc dicts, float dicts), plus one
+  end-to-end check that a fleet merged by the production
+  :class:`~repro.fleet.ProfileAccumulator` re-serializes to the same
+  ``gmon`` bytes as the independent ``core.merge_profiles`` fold.  Any
+  mismatch makes ``emit_bench`` exit 2.
 
 Usage::
 
@@ -28,14 +32,16 @@ import random
 import struct
 import time
 
-from repro.core import Symbol, SymbolTable
+from repro.core import Symbol, SymbolTable, merge_profiles
 from repro.core import kernels
 from repro.core.callgraph import Arc, CallGraph
 from repro.core.cycles import number_graph
 from repro.core.kernels import prop as kprop
-from repro.core.kernels.spans import build_spans
+from repro.core.kernels.arcs import ArcTable
+from repro.core.kernels.buckets import BucketAccumulator
+from repro.core.kernels.spans import apportion, apportion_python, build_spans
 from repro.fleet import ProfileAccumulator
-from repro.gmon import dumps_gmon
+from repro.gmon import dumps_gmon, parse_gmon
 
 FULL = {
     "inputs": 1000, "nbuckets": 2000, "narcs": 400, "arc_sites": 600,
@@ -64,27 +70,20 @@ def _timed(fn, repeats: int):
     return best, result
 
 
-def _row(kernel: str, workload: dict, runs: dict, results: dict,
-         reference: str = "python") -> tuple[dict, bool]:
+def _row(kernel: str, workload: dict, production: str,
+         ref: tuple, prod: tuple) -> tuple[dict, bool]:
     """Assemble one report row; equality is exact, never approximate."""
-    ref = results[reference]
-    identical = all(res == ref for res in results.values())
-    ref_s = runs[reference]
+    (ref_s, ref_result), (prod_s, prod_result) = ref, prod
+    identical = prod_result == ref_result
     row = {
         "kernel": kernel,
         "workload": workload,
-        "backends": {
-            name: {
-                "seconds": round(sec, 6),
-                "speedup_vs_python": round(ref_s / sec, 2) if sec else None,
-            }
-            for name, sec in runs.items()
+        "production": production,
+        "seconds": {
+            "reference": round(ref_s, 6),
+            "production": round(prod_s, 6),
         },
-        "best_speedup": round(
-            max(ref_s / sec for name, sec in runs.items()
-                if name != reference),
-            2,
-        ),
+        "speedup": round(ref_s / prod_s, 2) if prod_s else None,
         "identical": identical,
     }
     return row, identical
@@ -104,21 +103,19 @@ def bench_bucket_fold(cfg: dict) -> tuple[dict, bool]:
         for _ in range(inputs)
     ]
 
-    def fold(backend: str):
-        acc = kernels.get_backend(backend).bucket_acc()
+    def fold(make):
+        acc = make()
         for blob in blobs:
             acc.fold_blob(blob)
         return acc.to_list()
 
-    runs, results = {}, {}
-    for name in kernels.available_backends():
-        runs[name], results[name] = _timed(
-            lambda name=name: fold(name), cfg["repeats"]
-        )
+    repeats = cfg["repeats"]
     return _row(
         "bucket_fold",
         {"inputs": inputs, "nbuckets": nbuckets},
-        runs, results,
+        type(kernels.bucket_accumulator()).__name__,
+        _timed(lambda: fold(BucketAccumulator), repeats),
+        _timed(lambda: fold(kernels.bucket_accumulator), repeats),
     )
 
 
@@ -140,22 +137,20 @@ def bench_arc_fold(cfg: dict) -> tuple[dict, bool]:
             )
         )
 
-    def fold(backend: str):
-        table = kernels.get_backend(backend).arc_table()
+    def fold(make):
+        table = make()
         for blob in blobs:
             table.fold_blob(blob)
         return sorted(table.as_dict().items())
 
-    runs, results = {}, {}
-    for name in kernels.available_backends():
-        runs[name], results[name] = _timed(
-            lambda name=name: fold(name), cfg["repeats"]
-        )
+    repeats = cfg["repeats"]
     return _row(
         "arc_fold",
         {"inputs": cfg["inputs"], "records_per_input": cfg["narcs"],
          "distinct_sites": cfg["arc_sites"]},
-        runs, results,
+        type(kernels.arc_table()).__name__,
+        _timed(lambda: fold(ArcTable), repeats),
+        _timed(lambda: fold(kernels.arc_table), repeats),
     )
 
 
@@ -177,27 +172,24 @@ def bench_apportion(cfg: dict) -> tuple[dict, bool]:
     ]
     sec_per_tick = 1.0 / 100.0
 
-    def apportion(backend: str):
-        fn = kernels.get_backend(backend).apportion
+    def evaluate(fn):
         out = []
         for counts in vectors:
             out.append(sorted(fn(spans, counts, sec_per_tick).items()))
         return out
 
-    runs, results = {}, {}
-    for name in kernels.available_backends():
-        runs[name], results[name] = _timed(
-            lambda name=name: apportion(name), cfg["repeats"]
-        )
+    repeats = cfg["repeats"]
     return _row(
         "apportion",
         {"nbuckets": nbuckets, "symbols": nsyms,
          "inputs": cfg["ap_inputs"]},
-        runs, results,
+        "prefix_sum",
+        _timed(lambda: evaluate(apportion_python), repeats),
+        _timed(lambda: evaluate(apportion), repeats),
     )
 
 
-def bench_propagate(cfg: dict) -> tuple[dict, bool]:
+def bench_propagate(cfg: dict) -> dict:
     # The gprof shape that makes propagation expensive: a few hot
     # shared routines (hubs) called from very many sites, so each hub
     # representative pushes time up thousands of incoming arcs.
@@ -220,32 +212,22 @@ def bench_propagate(cfg: dict) -> tuple[dict, bool]:
     }
     nsolves = cfg["prop_solves"]
 
-    def solve(vector: bool):
-        out = None
+    def solve():
         for _ in range(nsolves):
-            out = kprop.solve(plan, self_times, vector)
-        return out
+            kprop.solve(plan, self_times)
 
-    runs, results = {}, {}
-    runs["python"], results["python"] = _timed(
-        lambda: solve(False), cfg["repeats"]
-    )
-    # array shares the scalar data path; report it as such
-    runs["array"], results["array"] = runs["python"], results["python"]
-    if kernels.HAVE_NUMPY:
-        runs["numpy"], results["numpy"] = _timed(
-            lambda: solve(True), cfg["repeats"]
-        )
-    return _row(
-        "propagate",
-        {"routines": len(plan.routines),
-         "arcs": len(plan.arc_count), "solves": nsolves},
-        runs, results,
-    )
+    seconds, _ = _timed(solve, cfg["repeats"])
+    return {
+        "kernel": "propagate",
+        "workload": {"routines": len(plan.routines),
+                     "arcs": len(plan.arc_count), "solves": nsolves},
+        "production": "scalar",
+        "seconds": {"production": round(seconds, 6)},
+    }
 
 
 def check_end_to_end_bytes(cfg: dict) -> bool:
-    """Merged-fleet wire bytes must not depend on the backend."""
+    """Production-merged fleet bytes must equal ``merge_profiles``'."""
     rng = random.Random(SEED + 4)
     nbuckets = cfg["nbuckets"]
     high = nbuckets * 4
@@ -262,48 +244,45 @@ def check_end_to_end_bytes(cfg: dict) -> bool:
         blobs.append(
             dumps_gmon(ProfileData(Histogram(0, high, counts, 60), arcs))
         )
-    outputs = set()
-    for name in kernels.available_backends():
-        acc = ProfileAccumulator(name)
-        for blob in blobs:
-            acc.add(blob)
-        outputs.add(dumps_gmon(acc.result()))
-    return len(outputs) == 1
+    acc = ProfileAccumulator()
+    for blob in blobs:
+        acc.add(blob)
+    reference = merge_profiles([parse_gmon(b) for b in blobs])
+    return dumps_gmon(acc.result()) == dumps_gmon(reference)
 
 
 def run_kernels(quick: bool) -> tuple[dict, bool]:
     cfg = QUICK if quick else FULL
     rows = []
     identical_everywhere = True
-    for bench in (bench_bucket_fold, bench_arc_fold, bench_apportion,
-                  bench_propagate):
+    for bench in (bench_bucket_fold, bench_arc_fold, bench_apportion):
         row, identical = bench(cfg)
         identical_everywhere &= identical
         rows.append(row)
-        backends = "  ".join(
-            f"{name} {info['speedup_vs_python']}x"
-            for name, info in row["backends"].items()
-            if name != "python"
-        )
         print(
-            f"  {row['kernel']:<12} python "
-            f"{row['backends']['python']['seconds'] * 1000:8.1f} ms"
-            f"  {backends}  identical={identical}"
+            f"  {row['kernel']:<12} reference "
+            f"{row['seconds']['reference'] * 1000:8.1f} ms"
+            f"  {row['production']} {row['speedup']}x"
+            f"  identical={identical}"
         )
+    row = bench_propagate(cfg)
+    rows.append(row)
+    print(
+        f"  {row['kernel']:<12} {row['production']} "
+        f"{row['seconds']['production'] * 1000:8.1f} ms"
+    )
     wire_identical = check_end_to_end_bytes(cfg)
     identical_everywhere &= wire_identical
     print(f"  end-to-end merged gmon bytes identical={wire_identical}")
-    fast_kernels = sum(1 for r in rows if r["best_speedup"] >= 3.0)
     report = {
-        "benchmark": "T-KERN bulk-kernel backends",
+        "benchmark": "T-KERN bulk kernels, production vs reference",
         "mode": "quick" if quick else "full",
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
-        "backends": list(kernels.available_backends()),
+        "folds": kernels.default_backend_name(),
         "seed": SEED,
         "rows": rows,
         "wire_identical": wire_identical,
-        "kernels_at_or_above_3x": fast_kernels,
     }
     return report, identical_everywhere
 

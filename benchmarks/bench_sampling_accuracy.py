@@ -62,7 +62,7 @@ def sampled_error(cycles_per_tick: int) -> tuple[float, int]:
     mon = Monitor(MonitorConfig(exe.low_pc, exe.high_pc,
                                 cycles_per_tick=cycles_per_tick))
     CPU(exe, mon).run()
-    times = mon.histogram.assign_samples(exe.symbol_table())
+    times = mon.histogram.time_for_symbols(exe.symbol_table())
     in_scope = {k: times.get(k, 0.0) for k in TRUTH}
     total = sum(in_scope.values()) or 1.0
     truth_total = sum(TRUTH.values())

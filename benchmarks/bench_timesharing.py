@@ -97,7 +97,7 @@ def test_sampling_immune_to_load(benchmark):
     profiles = {}
     for n in (0, 1, 3):
         exe, monitor, _ = run_machine(n)
-        profiles[n] = monitor.histogram.assign_samples(exe.symbol_table())
+        profiles[n] = monitor.histogram.time_for_symbols(exe.symbol_table())
     rows = [
         (f"{n} competitors",
          f"{profiles[n].get('step_work', 0):.3f}s",

@@ -171,8 +171,8 @@ SUITES = {
         "T-KERN",
         "BENCH_kernels.json",
         None,  # resolved lazily, same pattern as vm
-        "kernel backends disagree (per-kernel results or merged gmon "
-        "bytes differ from the python reference)",
+        "a production kernel disagrees with its reference (per-kernel "
+        "results, or merged gmon bytes differ from merge_profiles)",
     ),
     "pgo": (
         "T-PGO",

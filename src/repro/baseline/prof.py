@@ -53,7 +53,7 @@ def prof_analyze(data: ProfileData, symbols: SymbolTable) -> list[ProfRow]:
     difference between the two tools' outputs is purely the call graph
     treatment, not the time basis.
     """
-    self_times = data.histogram.assign_samples(symbols)
+    self_times = data.histogram.time_for_symbols(symbols)
     calls: dict[str, int] = {}
     for arc in data.arcs:
         callee = symbols.find(arc.self_pc)

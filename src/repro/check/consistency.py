@@ -143,7 +143,7 @@ def check_mass_agreement(
     the profile as internally inconsistent: truncated arc table, or
     data summed from mismatched runs.
     """
-    self_times = data.histogram.assign_samples(exe.symbol_table())
+    self_times = data.histogram.time_for_symbols(exe.symbol_table())
     incoming: dict[str, int] = defaultdict(int)
     for arc in data.condensed_arcs():
         fn = exe.function_at(arc.self_pc)

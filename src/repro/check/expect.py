@@ -219,7 +219,7 @@ def sampling_confidence(
     if not hist.counts or hist.profrate <= 0:
         return {}
     period = 1.0 / hist.profrate
-    self_times = hist.assign_samples(exe.symbol_table())
+    self_times = hist.time_for_symbols(exe.symbol_table())
     confidence: dict[str, float] = {}
     for name, seconds in self_times.items():
         ticks = seconds * hist.profrate

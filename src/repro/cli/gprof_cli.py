@@ -45,7 +45,10 @@ Options mirror the features the paper and retrospective describe:
 
 The heavy lifting — image loading, gmon reading/salvaging/merging,
 linting, and the staged analysis itself — rides
-:class:`repro.pipeline.ProfileSession`, shared by every frontend.
+:class:`repro.pipeline.ProfileSession`, shared by every frontend.  No
+option picks the bulk arithmetic underneath: each kernel has one
+implementation per host (:mod:`repro.core.kernels`), and the listings
+are identical with numpy or without.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ import argparse
 import json
 import sys
 
-from repro.core import AnalysisOptions, SymbolTable, kernels
+from repro.core import AnalysisOptions, SymbolTable
 from repro.core.filters import reachable_from
 from repro.errors import ReproError
 from repro.gmon import write_gmon
@@ -149,13 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--timings", action="store_true",
-        help="print per-stage pipeline wall time, counters, and the "
-             "kernel backend serving each bulk stage to stderr",
-    )
-    parser.add_argument(
-        "--kernels", metavar="BACKEND", default=None,
-        help="kernel backend for the bulk arithmetic (auto, python, "
-             "array, numpy); overrides $REPRO_KERNELS",
+        help="print per-stage pipeline wall time and counters to stderr",
     )
     parser.add_argument(
         "--trace", metavar="FILE",
@@ -168,8 +165,6 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit status."""
     opts = build_parser().parse_args(argv)
     try:
-        if opts.kernels is not None:
-            kernels.set_default_backend(opts.kernels)
         session = ProfileSession.from_image(opts.image)
         exe = session.exe
         data = session.load(opts.gmon, salvage=opts.salvage)
@@ -282,8 +277,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ReproError, OSError, json.JSONDecodeError) as exc:
         print(f"repro-gprof: {exc}", file=sys.stderr)
         return 1
-    finally:
-        kernels.set_default_backend(None)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -21,14 +21,12 @@ Options:
 * ``--skip-incompatible`` — drop inputs whose histogram layout does
   not match the fleet's (default: abort naming the first mismatch);
 * ``--stats`` — print a merge summary table to stderr, including the
-  kernel backend and the fleet-wide parse vs fold wall-time split;
-* ``--kernels BACKEND`` — select the bulk-arithmetic backend
-  (``auto``/``python``/``array``/``numpy``), overriding the
-  ``REPRO_KERNELS`` environment variable;
+  kernel backend (``numpy`` where numpy imports, else ``python``) and
+  the fleet-wide parse vs fold wall-time split;
 * ``-q`` — print nothing but errors.
 
 The output is deterministic: the same inputs in the same order always
-produce a byte-identical file.
+produce a byte-identical file, with numpy or without.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.core import kernels
 from repro.errors import ReproError
 from repro.gmon import write_gmon
 from repro.pipeline import ProfileSession
@@ -71,11 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
              "split and the kernel backend) to stderr",
     )
     parser.add_argument(
-        "--kernels", metavar="BACKEND", default=None,
-        help="kernel backend for the bulk arithmetic (auto, python, "
-             "array, numpy); overrides $REPRO_KERNELS",
-    )
-    parser.add_argument(
         "-q", "--quiet", action="store_true",
         help="print nothing but errors",
     )
@@ -87,8 +79,6 @@ def main(argv: list[str] | None = None) -> int:
     opts = build_parser().parse_args(argv)
     merge_stats: dict | None = {} if opts.stats else None
     try:
-        if opts.kernels is not None:
-            kernels.set_default_backend(opts.kernels)
         session = ProfileSession(None)
         data = session.load(
             opts.inputs,
@@ -101,8 +91,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ReproError, OSError) as exc:
         print(f"repro-merge: {exc}", file=sys.stderr)
         return 1
-    finally:
-        kernels.set_default_backend(None)
     if data.warnings and not opts.quiet:
         for w in data.warnings:
             print(f"repro-merge: warning: {w}", file=sys.stderr)

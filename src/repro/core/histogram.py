@@ -150,7 +150,7 @@ class Histogram:
         """Ticks attributable to addresses ``[lo, hi)``.
 
         Buckets partially overlapping the range contribute fractionally
-        (same apportionment rule as :meth:`assign_samples`); with the
+        (same apportionment rule as :meth:`time_for_symbols`); with the
         one-to-one bucket configuration the result is exact.  Used by
         the annotated-disassembly listing to charge samples to single
         instructions.
@@ -186,8 +186,8 @@ class Histogram:
         so it is precomputed as a
         :class:`~repro.core.kernels.spans.SymbolSpans` (memoized per
         symbol table; pass ``spans`` to supply one from elsewhere, e.g.
-        the pipeline's analysis cache) and evaluated by the selected
-        kernel backend.  Every backend returns bit-identical times —
+        the pipeline's analysis cache) and evaluated by the prefix-sum
+        kernel, which is bit-identical to the per-bucket reference —
         see :mod:`repro.core.kernels.spans` for the argument.
         """
         from repro.core import kernels
@@ -198,13 +198,7 @@ class Histogram:
             spans = kernels.spans_for(
                 symbols, self.low_pc, self.high_pc, len(self.counts)
             )
-        return kernels.get_backend().apportion(
-            spans, self.counts, self.seconds_per_tick
-        )
-
-    def assign_samples(self, symbols: SymbolTable) -> dict[str, float]:
-        """Historical name for :meth:`time_for_symbols`."""
-        return self.time_for_symbols(symbols)
+        return kernels.apportion(spans, self.counts, self.seconds_per_tick)
 
 
 def sum_histograms(histograms: Sequence[Histogram]) -> Histogram:
@@ -230,7 +224,7 @@ def sum_histograms(histograms: Sequence[Histogram]) -> Histogram:
             )
     from repro.core import kernels
 
-    acc = kernels.get_backend().bucket_acc()
+    acc = kernels.bucket_accumulator()
     for h in histograms:
         acc.fold_seq(h.counts)
     return Histogram(first.low_pc, first.high_pc, acc.to_list(), first.profrate)

@@ -1,175 +1,88 @@
-"""repro.core.kernels: backend-selectable bulk kernels for the data plane.
+"""repro.core.kernels: the bulk kernels of the data plane.
 
-The paper's data plane is three kinds of arithmetic repeated at fleet
+The paper's data plane is four kinds of arithmetic repeated at fleet
 scale: summing histogram buckets, condensing ``(from_pc, self_pc)``
 arc records, apportioning bucket ticks to routines (§3.2), and pushing
-time up the topological order (§4).  Each of those hot paths is served
-by a *kernel* with three interchangeable backends:
+time up the topological order (§4).  Each kernel has exactly one
+production implementation, and the only thing that picks it is whether
+numpy imports:
 
-``python``
-    The readable reference: scalar loops that transcribe the paper's
-    arithmetic one bucket / one record / one arc at a time.  Every
-    fast backend is defined as "produces exactly what this produces".
-``array``
-    Stdlib-only vectorization: ``struct`` bulk unpacks, ``array``
-    column stores, ``itertools.accumulate`` prefix sums, and a
-    big-integer lane trick that adds thousands of u32 buckets in one
-    C-level integer addition.
-``numpy``
-    Optional; used only when numpy is importable.  Column arithmetic
-    over ``frombuffer`` views of the wire blobs.
+* bucket fold: :class:`NumpyBucketAccumulator`, else the reference
+  :class:`BucketAccumulator` (:func:`bucket_accumulator`);
+* arc fold: :class:`NumpyArcTable`, else the reference
+  :class:`ArcTable` (:func:`arc_table`);
+* apportion: :func:`apportion`, a stdlib prefix sum, on every host;
+* propagate: the scalar plan solve of :mod:`repro.core.kernels.prop`,
+  on every host.
 
-Backends are *bit-compatible by construction*: integer kernels are
-exact, and the float kernels (apportion, propagate) are arranged so
-every rounding step happens on the same values in the same order as
-the reference (see :mod:`repro.core.kernels.spans` and
-:mod:`repro.core.kernels.prop` for the argument).  The equivalence is
-gated twice — a hypothesis suite (``tests/test_kernels_equivalence``)
-and the T-KERN byte-identity benchmark (exit 2 on divergence).
+Each production implementation is the fastest one measured on the
+benchmark's inputs, all of which run with numpy (EXPERIMENTS.md,
+T-KERN).  The python reference classes and
+:func:`~repro.core.kernels.spans.apportion_python` stay as the spec:
+scalar loops that transcribe the paper's arithmetic one bucket / one
+record at a time, which the production paths must equal exactly.  The
+integer folds are exact, and apportionment performs the same float
+operations on the same values as its reference (see
+:mod:`repro.core.kernels.spans`).  The equivalence is gated twice — a
+hypothesis suite (``tests/test_kernels_equivalence``) and the T-KERN
+byte-identity benchmark (exit 2 on divergence).
 
-Selection: ``REPRO_KERNELS`` environment variable (``auto`` /
-``python`` / ``array`` / ``numpy``), overridden per-process by
-:func:`set_default_backend` (the CLIs' ``--kernels`` flag).  ``auto``
-prefers numpy when present, else ``array``; the ``python`` backend is
-never auto-selected — it is the spec, not the fast path.
+:data:`HAVE_NUMPY` is read each time a fold factory runs, so a test can
+run the no-numpy path in-process by patching it; it is a fact about the
+host, not a user option.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
-from typing import Callable
-
 from repro.errors import KernelBackendError
 
-from repro.core.kernels import arcs as _arcs
-from repro.core.kernels import buckets as _buckets
-from repro.core.kernels import spans as _spans
+from repro.core.kernels.arcs import ArcTable, NumpyArcTable
+from repro.core.kernels.buckets import (
+    BucketAccumulator,
+    NumpyBucketAccumulator,
+)
+from repro.core.kernels.spans import (
+    SymbolSpans,
+    apportion,
+    build_spans,
+    spans_for,
+)
 
-from repro.core.kernels.arcs import ArcTable
-from repro.core.kernels.buckets import BucketAccumulator
-from repro.core.kernels.spans import SymbolSpans, build_spans, spans_for
-
-ENV_VAR = "REPRO_KERNELS"
-
-try:  # pragma: no cover - exercised implicitly by backend selection
+try:  # pragma: no cover - which branch runs depends on the host
     import numpy as _np  # noqa: F401
 
     HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - numpy is present in CI images
+except ImportError:  # pragma: no cover
     HAVE_NUMPY = False
 
 
-@dataclass(frozen=True)
-class Backend:
-    """One kernel implementation family, selected as a unit.
-
-    Attributes:
-        name: registry name (``python`` / ``array`` / ``numpy``).
-        bucket_acc: factory for a histogram-bucket accumulator.
-        arc_table: factory for an arc-condensing table.
-        apportion: span evaluator for bucket→routine apportionment.
-        vector_propagate: whether §4 propagation uses the batched
-            column solver (numpy only; the stdlib backends share the
-            scalar plan walk).
-    """
-
-    name: str
-    bucket_acc: Callable[[], BucketAccumulator]
-    arc_table: Callable[[], ArcTable]
-    apportion: Callable[[SymbolSpans, list, float], dict]
-    vector_propagate: bool = False
+def bucket_accumulator() -> BucketAccumulator:
+    """A fresh production bucket accumulator for this host."""
+    return NumpyBucketAccumulator() if HAVE_NUMPY else BucketAccumulator()
 
 
-_REGISTRY: dict[str, Backend] = {
-    "python": Backend(
-        "python",
-        _buckets.BucketAccumulator,
-        _arcs.ArcTable,
-        _spans.apportion_python,
-    ),
-    "array": Backend(
-        "array",
-        _buckets.ArrayBucketAccumulator,
-        _arcs.ArrayArcTable,
-        _spans.apportion_array,
-    ),
-}
-if HAVE_NUMPY:
-    _REGISTRY["numpy"] = Backend(
-        "numpy",
-        _buckets.NumpyBucketAccumulator,
-        _arcs.NumpyArcTable,
-        _spans.apportion_numpy,
-        vector_propagate=True,
-    )
-
-#: Process-wide override installed by ``--kernels`` (None = follow env).
-_forced: str | None = None
-
-
-def available_backends() -> tuple[str, ...]:
-    """Backend names usable in this interpreter, reference first."""
-    return tuple(_REGISTRY)
-
-
-def _resolve(name: str) -> Backend:
-    if name in ("", "auto"):
-        return _REGISTRY["numpy" if HAVE_NUMPY else "array"]
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KernelBackendError(
-            f"unknown kernel backend {name!r}; available: "
-            f"{', '.join(available_backends())} (or 'auto')"
-        ) from None
-
-
-def get_backend(name: str | None = None) -> Backend:
-    """The kernel backend to use.
-
-    Explicit ``name`` wins; then the :func:`set_default_backend`
-    override; then the ``REPRO_KERNELS`` environment variable; then
-    auto-detection (numpy if importable, else ``array``).
-    """
-    if name is not None:
-        return _resolve(name.strip().lower())
-    if _forced is not None:
-        return _resolve(_forced)
-    return _resolve(os.environ.get(ENV_VAR, "auto").strip().lower())
+def arc_table() -> ArcTable:
+    """A fresh production arc table for this host."""
+    return NumpyArcTable() if HAVE_NUMPY else ArcTable()
 
 
 def default_backend_name() -> str:
-    """Name of the backend :func:`get_backend` would pick right now."""
-    return get_backend().name
-
-
-def set_default_backend(name: str | None) -> None:
-    """Install (or with None, clear) a process-wide backend override.
-
-    The CLIs' ``--kernels`` flag lands here; it outranks the
-    environment variable.  Raises :class:`KernelBackendError` immediately for
-    an unknown or unavailable name.
-    """
-    global _forced
-    if name is not None:
-        _resolve(name.strip().lower())  # validate eagerly
-        name = name.strip().lower()
-    _forced = name
+    """``"numpy"`` when the folds run on numpy, else ``"python"``."""
+    return "numpy" if HAVE_NUMPY else "python"
 
 
 __all__ = [
-    "ENV_VAR",
     "HAVE_NUMPY",
     "ArcTable",
-    "Backend",
     "BucketAccumulator",
     "KernelBackendError",
+    "NumpyArcTable",
+    "NumpyBucketAccumulator",
     "SymbolSpans",
-    "available_backends",
+    "apportion",
+    "arc_table",
+    "bucket_accumulator",
     "build_spans",
     "default_backend_name",
-    "get_backend",
-    "set_default_backend",
     "spans_for",
 ]

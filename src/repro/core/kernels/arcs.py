@@ -5,15 +5,14 @@ call site (§5: the monitoring routine hashes caller/callee pairs); a
 fleet merge sums the counts of equal pairs across thousands of runs.
 The canonical state is a ``(from_pc, self_pc) -> count`` dict — every
 consumer (``result()`` materialization, digests, stats) reads that —
-so the backends differ only in how wire blobs reach the dict:
+so the two tables differ only in how wire blobs reach the dict:
 
 * :class:`ArcTable` — the reference: ``struct.iter_unpack`` and one
-  dict update per record.
-* :class:`ArrayArcTable` — one flat ``struct.unpack`` for the whole
-  blob, then the same dict updates over step-sliced columns; saves the
-  per-record tuple construction.
-* :class:`NumpyArcTable` — *deferred* condensing: blobs are kept as
-  they arrived and condensed when the table is read or once
+  dict update per record.  It is also the production fold where numpy
+  is absent.
+* :class:`NumpyArcTable` — the production fold where numpy imports,
+  with *deferred* condensing: blobs are kept as they arrived and
+  condensed when the table is read or once
   :data:`MAX_PENDING_RECORDS` records are pending.  A flush whose blobs
   all hold the same keys in the same order (many runs of one image)
   sums the count column; any other flush groups every pending record
@@ -23,8 +22,8 @@ so the backends differ only in how wire blobs reach the dict:
   records) and enter the dict as python ints, so cross-flush totals are
   unbounded and identical to the reference.
 
-Addition of non-negative integers is commutative and exact, so all
-three orders of summation produce the same table.
+Addition of non-negative integers is commutative and exact, so both
+orders of summation produce the same table.
 """
 
 from __future__ import annotations
@@ -43,8 +42,6 @@ MAX_PENDING_RECORDS = 65_536
 
 class ArcTable:
     """Reference arc table: per-record dict updates."""
-
-    backend = "python"
 
     def __init__(self) -> None:
         self._d: dict[tuple[int, int], int] = {}
@@ -87,27 +84,8 @@ class ArcTable:
         return sum(self.as_dict().values())
 
 
-class ArrayArcTable(ArcTable):
-    """Stdlib fast path: one bulk unpack per blob."""
-
-    backend = "array"
-
-    def fold_blob(self, blob: bytes) -> "ArrayArcTable":
-        n = len(blob) // _ARC.size
-        if not n:
-            return self
-        flat = struct.unpack("<" + "QQI" * n, blob)
-        d = self._d
-        get = d.get
-        for k, count in zip(zip(flat[0::3], flat[1::3]), flat[2::3]):
-            d[k] = get(k, 0) + count
-        return self
-
-
 class NumpyArcTable(ArcTable):
     """Numpy fast path: keep blobs, condense them in bulk."""
-
-    backend = "numpy"
 
     def __init__(self) -> None:
         super().__init__()

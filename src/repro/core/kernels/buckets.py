@@ -5,42 +5,36 @@ The wire form (:class:`repro.gmon.format.RawGmon`) keeps each vector
 as the packed little-endian u32 blob it arrived in, so the fold can
 consume raw bytes without ever materializing per-input lists.
 
-Three accumulators, one contract: after any sequence of
+Two accumulators, one contract: after any sequence of
 ``fold_blob`` / ``fold_seq`` calls, :meth:`to_list`
 returns exactly the per-bucket integer sums — bucket counts are
-non-negative integers, so every backend is exact and the results are
+non-negative integers, so both are exact and the results are
 identical, not merely close.
 
 * :class:`BucketAccumulator` — the reference: one python loop
-  iteration per bucket per input.
-* :class:`ArrayBucketAccumulator` — widens each u32 blob into u64
-  lanes with four strided ``bytearray`` slice assignments and adds the
-  whole vector as **one big Python integer**: thousands of buckets per
-  C-level add.  Exactness holds while every lane stays below 2**64,
-  which a conservative per-lane bound enforces; if the bound ever
-  approaches overflow (≈2**32 maximally-saturated inputs) the
-  accumulator demotes itself to exact per-lane python ints.
-* :class:`NumpyBucketAccumulator` — ``np.frombuffer`` views summed
-  into a u64 vector, same demotion rule.
+  iteration per bucket per input.  It is also the production fold
+  where numpy is absent.
+* :class:`NumpyBucketAccumulator` — the production fold where numpy
+  imports: ``np.frombuffer`` views summed into a u64 vector.
+  Exactness holds while every lane stays below 2**64, which a
+  conservative per-lane bound enforces; if the bound ever approaches
+  overflow (≈2**32 maximally-saturated inputs) the accumulator demotes
+  itself to exact per-lane python ints.
 """
 
 from __future__ import annotations
 
 import struct
 
-from array import array
-
 from repro.errors import KernelBackendError
 
-#: Lane-overflow guard for the widened representations: demote to exact
-#: python ints before any per-lane sum could reach 2**64.
+#: Lane-overflow guard for the u64 vector: demote to exact python ints
+#: before any per-lane sum could reach 2**64.
 _LANE_LIMIT = 1 << 64
 
 
 class BucketAccumulator:
     """Reference bucket accumulator: per-bucket scalar addition."""
-
-    backend = "python"
 
     def __init__(self) -> None:
         self._buf: list[int] | None = None
@@ -91,103 +85,8 @@ class BucketAccumulator:
         return sum(self._buf) if self._buf is not None else 0
 
 
-class ArrayBucketAccumulator(BucketAccumulator):
-    """Stdlib fast path: the whole vector as one big integer.
-
-    The accumulator is a single Python int whose 64-bit little-endian
-    lanes are the bucket sums.  Folding a u32 wire blob widens it to
-    u64 lanes via strided slice assignment (all C) and performs one
-    arbitrary-precision addition; lanes never carry into each other
-    while each stays below 2**64, which ``_bound`` guarantees.
-    """
-
-    backend = "array"
-
-    def __init__(self) -> None:
-        self._acc = 0
-        self._n: int | None = None
-        self._bound = 0  # conservative max over per-lane sums
-        self._exact: list[int] | None = None  # post-demotion storage
-
-    def fold_blob(self, blob: bytes) -> "ArrayBucketAccumulator":
-        n = len(blob) >> 2
-        if self._exact is not None:
-            self._check(n, len(self._exact))
-            vals = struct.unpack(f"<{n}I", blob)
-            buf = self._exact
-            for i in range(n):
-                buf[i] += vals[i]
-            return self
-        if self._n is None:
-            self._n = n
-        else:
-            self._check(n, self._n)
-        if n == 0:
-            return self
-        if self._bound + 0xFFFFFFFF >= _LANE_LIMIT:
-            self._demote()
-            return self.fold_blob(blob)
-        wide = bytearray(8 * n)
-        wide[0::8] = blob[0::4]
-        wide[1::8] = blob[1::4]
-        wide[2::8] = blob[2::4]
-        wide[3::8] = blob[3::4]
-        self._acc += int.from_bytes(wide, "little")
-        self._bound += 0xFFFFFFFF
-        return self
-
-    def fold_seq(self, counts) -> "ArrayBucketAccumulator":
-        n = len(counts)
-        if self._exact is not None:
-            self._check(n, len(self._exact))
-            buf = self._exact
-            for i in range(n):
-                buf[i] += counts[i]
-            return self
-        if self._n is None:
-            self._n = n
-        else:
-            self._check(n, self._n)
-        if n == 0:
-            return self
-        peak = max(counts)
-        if peak >= _LANE_LIMIT or self._bound + peak >= _LANE_LIMIT:
-            self._demote()
-            return self.fold_seq(counts)
-        self._acc += int.from_bytes(struct.pack(f"<{n}Q", *counts), "little")
-        self._bound += peak
-        return self
-
-    def _demote(self) -> None:
-        """Fall back to exact per-lane ints (lanes nearing 2**64)."""
-        self._exact = self._lanes()
-
-    def _lanes(self) -> list[int]:
-        if self._n is None or self._n == 0:
-            return []
-        out = array("Q")
-        out.frombytes(self._acc.to_bytes(8 * self._n, "little"))
-        return out.tolist()
-
-    @property
-    def empty(self) -> bool:
-        return self._n is None and self._exact is None
-
-    def to_list(self) -> list[int]:
-        if self._exact is not None:
-            return list(self._exact)
-        return self._lanes()
-
-    def total(self) -> int:
-        if self._exact is not None:
-            return sum(self._exact)
-        return sum(self._lanes())
-
-
 class NumpyBucketAccumulator(BucketAccumulator):
     """Numpy fast path: in-place u64 vector adds over blob views."""
-
-    backend = "numpy"
 
     def __init__(self) -> None:
         self._vec = None  # np.ndarray[u64] | None
@@ -218,14 +117,16 @@ class NumpyBucketAccumulator(BucketAccumulator):
         return self
 
     def fold_seq(self, counts) -> "NumpyBucketAccumulator":
-        import numpy as np
-
         n = len(counts)
+        if self._vec is not None:
+            self._check(n, len(self._vec))
         if self._exact is None and n:
             peak = max(counts)
             if peak >= _LANE_LIMIT or self._bound + peak >= _LANE_LIMIT:
                 self._demote(n)
             else:
+                import numpy as np
+
                 vals = np.asarray(
                     counts if isinstance(counts, (list, tuple))
                     else list(counts),
@@ -234,19 +135,18 @@ class NumpyBucketAccumulator(BucketAccumulator):
                 if self._vec is None:
                     self._vec = vals
                 else:
-                    self._check(n, len(self._vec))
                     self._vec += vals
                 self._bound += peak
                 return self
-        if self._exact is not None:
-            self._check(n, len(self._exact))
-            buf = self._exact
-            for i in range(n):
-                buf[i] += counts[i]
-            return self
-        # n == 0: record the (empty) layout like the reference does.
-        if self._vec is None and self._exact is None:
+        if self._exact is None:
+            # n == 0 on a fresh (or zero-bucket) layout: record it like
+            # the reference does.
             self._exact = []
+            return self
+        self._check(n, len(self._exact))
+        buf = self._exact
+        for i in range(n):
+            buf[i] += counts[i]
         return self
 
     def _demote(self, n: int = 0) -> None:

@@ -1,4 +1,4 @@
-"""Batched §4 time propagation over the topological order.
+"""Flattened §4 time propagation over the topological order.
 
 :func:`repro.core.propagate.propagate` solves ``T_r = S_r + sum T_e *
 C_e^r / C_e`` leaves-first.  The graph walk that discovers *which*
@@ -9,24 +9,17 @@ of parallel columns and reused across every solve against the same
 graph (each iteration of a PGO loop, every same-layout profile of a
 fleet).
 
-The solve itself then touches nothing but the columns:
+The solve itself then touches nothing but the columns: one scalar pass
+over the flat arc arrays — no set construction, no dict lookups per
+arc.  It stays scalar on every host: when representatives have a few
+incoming arcs each, as on every benchmark graph, numpy's per-call setup
+costs more than batching saves (EXPERIMENTS.md, T-KERN).
 
-* scalar mode (python/array backends): one pass over the flat arc
-  arrays — no set construction, no dict lookups per arc;
-* vector mode (numpy): per representative, the fractions
-  ``count / ncalls`` and both shares are computed as elementwise f8
-  column ops, and the pushes into ``child_time`` / ``routine_child``
-  are scattered with ``np.add.at``.
-
-Bit-compatibility argument: IEEE-754 elementwise array operations are
-the same operations as their scalar counterparts, applied to the same
-values; ``np.add.at`` accumulates strictly in index order, matching
-the scalar loop's push order; and the plan fixes one canonical arc
-order (members in cycle-member order — the reference previously
-iterated a *set* here, so its float accumulation order was hash-seed
-dependent; the plan's order is deterministic).  ``total_program_time``
-and the per-rep member sums stay sequential python additions in both
-modes.
+The plan fixes one canonical arc order (members in cycle-member order
+— the reference previously iterated a *set* here, so its float
+accumulation order was hash-seed dependent; the plan's order is
+deterministic), and every sum is a sequential python addition in that
+order.
 """
 
 from __future__ import annotations
@@ -35,10 +28,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro.errors import PropagationError
-
-#: Arc spans shorter than this run the scalar loop even in vector mode;
-#: the values are bit-identical either way, numpy just loses on setup.
-_VECTOR_MIN_ARCS = 16
 
 
 @dataclass
@@ -160,10 +149,8 @@ def plan_for(numbered) -> PropPlan:
     return plan
 
 
-def solve(
-    plan: PropPlan, self_times: Mapping[str, float], vector: bool
-) -> SolveResult:
-    """Solve the recurrence over a plan; scalar or vector data path."""
+def solve(plan: PropPlan, self_times: Mapping[str, float]) -> SolveResult:
+    """Solve the recurrence over a plan in one pass over its arcs."""
     nrep = len(plan.order)
     narc = len(plan.arc_count)
 
@@ -176,9 +163,6 @@ def solve(
     total_program_time = 0.0
     for st in self_time:
         total_program_time += st
-
-    if vector and narc >= _VECTOR_MIN_ARCS:
-        return _solve_vector(plan, self_time, total_program_time)
 
     child_time = [0.0] * nrep
     total_time = [0.0] * nrep
@@ -210,169 +194,6 @@ def solve(
         child_time,
         total_time,
         routine_child,
-        arc_self,
-        arc_child,
-        total_program_time,
-    )
-
-
-def _plan_columns(plan: PropPlan):
-    """Numpy views of the plan's arc columns, built once per plan.
-
-    The columns are immutable after :func:`build_plan`, so the f8/intp
-    conversions (the dominant cost of a naive vector solve) ride the
-    plan instance and are shared by every solve against it.
-    """
-    cols = getattr(plan, "_np_columns", None)
-    if cols is None:
-        import numpy as np
-
-        cols = (
-            np.asarray(plan.arc_count, dtype=np.float64),
-            np.asarray(plan.arc_parent, dtype=np.intp),
-            np.asarray(plan.arc_caller_idx, dtype=np.intp),
-        )
-        plan._np_columns = cols
-    return cols
-
-
-def _vector_work(plan: PropPlan):
-    """The vector schedule: which reps batch together, built per plan.
-
-    Arcs always push time to a *later* representative (children precede
-    parents in the topological order), so a representative's incoming
-    ``child_time`` is final before the solve loop reaches it.  That
-    lets consecutive narrow-fan-in reps be fused into one batched
-    ``('run', ...)`` item — all their self/child times gathered at
-    once, all their pushes scattered with one ``np.add.at`` pair — as
-    long as no arc already in the batch targets a rep that would join
-    it (the ``min_parent`` check below; a target that never reads
-    ``child_time`` mid-loop, i.e. has no arcs of its own, is harmless
-    to span).  Reps with ≥ ``_VECTOR_MIN_ARCS`` incoming arcs stay
-    individual ``('wide', ...)`` items; batches that stay tiny fall
-    back to the scalar loop as ``('small', ...)``.
-
-    Item order equals representative order, and ``np.add.at``
-    accumulates in index order, so every ``child_time`` slot sees the
-    exact push sequence of the scalar loop — bit-identity is preserved,
-    batching only removes interpreter overhead.
-    """
-    work = getattr(plan, "_np_work", None)
-    if work is not None:
-        return work
-    import numpy as np
-
-    arc_start = plan.arc_start
-    ncalls = plan.ncalls
-    items: list[tuple] = []
-    run: list | None = None  # [first_rep, last_rep, min_parent]
-
-    def close_run() -> None:
-        nonlocal run
-        if run is None:
-            return
-        u, v = run[0], run[1]
-        a, b = arc_start[u], arc_start[v + 1]
-        if b - a < _VECTOR_MIN_ARCS:
-            reps = [
-                (i, arc_start[i], arc_start[i + 1])
-                for i in range(u, v + 1)
-                if arc_start[i] < arc_start[i + 1] and ncalls[i] > 0
-            ]
-            items.append(("small", reps))
-        else:
-            rep_idx = np.asarray(plan.arc_rep[a:b], dtype=np.intp)
-            n_col = np.asarray(
-                [float(ncalls[r]) for r in plan.arc_rep[a:b]],
-                dtype=np.float64,
-            )
-            items.append(("run", a, b, rep_idx, n_col))
-        run = None
-
-    for i in range(len(plan.order)):
-        a, b = arc_start[i], arc_start[i + 1]
-        if a == b:
-            continue  # pure caller: pushes nothing, reads nothing
-        if ncalls[i] <= 0:
-            close_run()  # its arcs are skipped; keep spans contiguous
-            continue
-        if b - a >= _VECTOR_MIN_ARCS:
-            close_run()
-            items.append(("wide", i, a, b))
-            continue
-        if run is not None and run[2] <= i:
-            close_run()  # a batched arc pushes into rep i: flush first
-        mp = min(plan.arc_parent[a:b])
-        if run is None:
-            run = [i, i, mp]
-        else:
-            run[1] = i
-            if mp < run[2]:
-                run[2] = mp
-    close_run()
-    plan._np_work = items
-    return items
-
-
-def _solve_vector(
-    plan: PropPlan, self_time: list[float], total_program_time: float
-) -> SolveResult:
-    import numpy as np
-
-    nrep = len(plan.order)
-    narc = len(plan.arc_count)
-    counts, parent, caller = _plan_columns(plan)
-    st_arr = np.asarray(self_time, dtype=np.float64)
-    child_time = np.zeros(nrep, dtype=np.float64)
-    routine_child = np.zeros(len(plan.routines), dtype=np.float64)
-    # The per-arc shares are assembled as plain lists: vector items
-    # slice-assign their ``tolist()`` once, the scalar fallback writes
-    # floats directly — both far cheaper than element stores into an
-    # ndarray.
-    arc_self = [0.0] * narc
-    arc_child = [0.0] * narc
-    ct_of = child_time.item
-    add_at = np.add.at
-    for item in _vector_work(plan):
-        kind = item[0]
-        if kind == "wide":
-            _, i, a, b = item
-            frac = counts[a:b] / float(plan.ncalls[i])
-            ss = self_time[i] * frac
-            cc = ct_of(i) * frac
-        elif kind == "run":
-            _, a, b, rep_idx, n_col = item
-            frac = counts[a:b] / n_col
-            ss = st_arr[rep_idx] * frac
-            cc = child_time[rep_idx] * frac
-        else:  # "small": tiny batch, numpy setup would dominate
-            for i, a, b in item[1]:
-                st = self_time[i]
-                ct = ct_of(i)
-                n = plan.ncalls[i]
-                for k in range(a, b):
-                    fr = plan.arc_count[k] / n
-                    s1 = st * fr
-                    c1 = ct * fr
-                    arc_self[k] = s1
-                    arc_child[k] = c1
-                    t1 = s1 + c1
-                    child_time[plan.arc_parent[k]] += t1
-                    routine_child[plan.arc_caller_idx[k]] += t1
-            continue
-        arc_self[a:b] = ss.tolist()
-        arc_child[a:b] = cc.tolist()
-        tot = ss + cc
-        add_at(child_time, parent[a:b], tot)
-        add_at(routine_child, caller[a:b], tot)
-    # child_time only ever receives pushes from earlier reps, so every
-    # slot is final here; total = self + child in one elementwise add.
-    total_time = (st_arr + child_time).tolist()
-    return SolveResult(
-        self_time,
-        child_time.tolist(),
-        total_time,
-        routine_child.tolist(),
         arc_self,
         arc_child,
         total_program_time,

@@ -1,6 +1,6 @@
-"""Vectorized bucket→routine apportionment (§3.2).
+"""Bucket→routine apportionment (§3.2) over precomputed spans.
 
-``Histogram.assign_samples`` charges each bucket's ticks to the
+``Histogram.time_for_symbols`` charges each bucket's ticks to the
 routines overlapping it, weighted by overlap fraction.  The geometry —
 which buckets a routine touches and with what weight — depends only on
 the histogram *layout* (``low_pc``/``high_pc``/bucket count) and the
@@ -19,26 +19,28 @@ Each symbol's span is compressed into segments:
   (the routine's edges, and every bucket of routines narrower than a
   bucket).
 
-Why every backend is bit-identical to every other, not merely close:
-evaluation adds segment contributions in ascending bucket order —
-edges as a scalar ``counts[idx] * w`` multiply, runs as
-``float(integer_sum)`` — and the three backends differ *only* in how
-a run's integer sum is computed: per-bucket python loop (python),
-``itertools.accumulate`` prefix sums (array), u64 ``np.cumsum``
-(numpy).  Integer arithmetic is exact in all three (sums below 2**53
-convert to float losslessly; the guard in :func:`apportion_numpy`
-keeps u64 exact), so all backends perform the same sequence of float
-operations on the same values.
+Two evaluators walk the segments, and they are bit-identical, not
+merely close: evaluation adds segment contributions in ascending
+bucket order — edges as a scalar ``counts[idx] * w`` multiply, runs as
+``float(integer_sum)`` — and the evaluators differ *only* in how a
+run's integer sum is computed.  :func:`apportion_python`, the
+reference, adds the run's buckets one by one; :func:`apportion`, the
+production evaluator on every host, takes one ``itertools.accumulate``
+prefix sum and subtracts two entries per run.  Python integers are
+exact at any size, so both perform the same sequence of float
+operations on the same values.  Numpy plays no part here: converting
+the bucket list to an array costs more than a vector prefix sum saves
+(EXPERIMENTS.md, T-KERN).
 
 Relative to the historical per-bucket evaluation (which added every
 run bucket to the accumulator one at a time), collapsing a run into
 one addition *reassociates* the float sum; when a fractional edge
 precedes a run the result can differ in the last ULP.  That is a
 deliberate, documented semantics choice: the segment walk is now the
-definition, all backends implement it exactly, and the equivalence
-suite pins both the cross-backend bit-identity and the ≤1e-9 relative
-agreement with the historical formula (listings round to 0.01s, so
-the goldens are insensitive to it).
+definition, both evaluators implement it exactly, and the equivalence
+suite pins both their bit-identity and the ≤1e-9 relative agreement
+with the historical formula (listings round to 0.01s, so the goldens
+are insensitive to it).
 """
 
 from __future__ import annotations
@@ -73,9 +75,9 @@ class SymbolSpans:
 def build_spans(low_pc, high_pc, nbuckets, symbols) -> SymbolSpans:
     """Compute every symbol's overlap segments for one layout.
 
-    The per-bucket formulas are lifted verbatim from the reference
-    ``assign_samples`` loop, so the weights here are the exact floats
-    the reference would have multiplied by.
+    The per-bucket formulas are lifted verbatim from the historical
+    per-bucket apportionment loop, so the weights here are the exact
+    floats that loop would have multiplied by.
 
     Only a routine's edge buckets are evaluated.  When the bucket width
     is a whole number of address units, every quantity in the formula
@@ -179,34 +181,11 @@ def apportion_python(spans: SymbolSpans, counts, sec_per_tick) -> dict:
     return _evaluate(spans, counts, sec_per_tick, run_sum)
 
 
-def apportion_array(spans: SymbolSpans, counts, sec_per_tick) -> dict:
-    """Stdlib evaluator: one prefix-sum pass, O(1) per run."""
+def apportion(spans: SymbolSpans, counts, sec_per_tick) -> dict:
+    """Production evaluator: one prefix-sum pass, O(1) per run."""
     if not spans.entries:
         return {}
     prefix = list(accumulate(counts, initial=0))
     return _evaluate(
         spans, counts, sec_per_tick, lambda a, b: prefix[b] - prefix[a]
-    )
-
-
-def apportion_numpy(spans: SymbolSpans, counts, sec_per_tick) -> dict:
-    """Numpy evaluator: u64 cumulative sum, O(1) per run."""
-    if not spans.entries:
-        return {}
-    n = len(counts)
-    peak = max(counts) if n else 0
-    if peak and peak * n >= 1 << 64:
-        # Conservative u64-overflow guard; big ints stay exact in the
-        # stdlib path.  Unreachable for wire-format inputs (u32 counts).
-        return apportion_array(spans, counts, sec_per_tick)
-    import numpy as np
-
-    cs = np.zeros(n + 1, dtype=np.uint64)
-    np.cumsum(np.asarray(counts, dtype=np.uint64), out=cs[1:])
-    # Only the segment endpoints are ever read — index the u64 vector
-    # directly instead of boxing every lane.  u64 -> int is exact, so
-    # run sums equal the reference's python-int sums bit for bit.
-    item = cs.item
-    return _evaluate(
-        spans, counts, sec_per_tick, lambda a, b: item(b) - item(a)
     )

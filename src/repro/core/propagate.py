@@ -122,16 +122,11 @@ def propagate(
     :class:`~repro.core.kernels.prop.PropPlan` (memoized on
     ``numbered``, so repeated solves against the same graph — PGO
     iterations, same-layout fleets — skip it) and the recurrence is
-    solved by the selected kernel backend: a flat scalar pass for the
-    stdlib backends, batched column arithmetic for numpy.  Backends
-    produce bit-identical results (see :mod:`repro.core.kernels.prop`).
+    solved by one flat scalar pass over the plan's arc columns (see
+    :mod:`repro.core.kernels.prop`).
     """
-    from repro.core import kernels
-
     plan = _kernels_prop.plan_for(numbered)
-    sol = _kernels_prop.solve(
-        plan, self_times, kernels.get_backend().vector_propagate
-    )
+    sol = _kernels_prop.solve(plan, self_times)
 
     result = Propagation(numbered)
     for i, rep in enumerate(plan.order):

@@ -92,6 +92,6 @@ class KernelError(ReproError):
 
 
 class KernelBackendError(ReproError):
-    """A bulk-kernel backend (repro.core.kernels) was misselected or
-    fed inconsistent shapes (mismatched bucket counts, unknown backend
-    name, numpy requested where unavailable)."""
+    """A bulk kernel (repro.core.kernels) was fed inconsistent shapes:
+    a bucket vector whose length does not match the accumulated
+    layout."""

@@ -10,23 +10,22 @@ construction and re-condensing over and over.
 
 The accumulator keeps exactly one bucket accumulator and one
 ``(from_pc, self_pc) -> count`` table for the whole merge — both are
-:mod:`repro.core.kernels` objects, so the per-input arithmetic runs on
-the selected backend (python reference / stdlib array / numpy) — and
-adds each input into them:
+:mod:`repro.core.kernels` folds, numpy's where numpy imports and the
+python reference's elsewhere — and adds each input into them:
 
 * ``add(path)`` parses the file in wire form
   (:func:`repro.gmon.parse_gmon_raw`) and sums straight out of the
   packed bytes — no ``RawArc``/``Histogram``/``ProfileData`` objects,
-  and with the fast backends not even per-bucket ints, are ever built
-  for the input;
+  and with numpy not even per-bucket ints, are ever built for the
+  input;
 * ``add(profile)`` accepts an already-materialized
   :class:`~repro.core.profiledata.ProfileData` (e.g. a salvaged one).
 
 ``result()`` materializes a ProfileData that is *equal to* — and after
 :func:`~repro.gmon.write_gmon`, *byte-identical to* — what
 ``merge_profiles([read_gmon(p) for p in paths])`` would have produced
-for the same inputs in the same order, **for every kernel backend**.
-That equivalence is the merge-algebra contract the property suites
+for the same inputs in the same order, with numpy or without.  That
+equivalence is the merge-algebra contract the property suites
 (``test_merge_properties``, ``test_kernels_equivalence``) pin down.
 
 Incompatible inputs raise a structured
@@ -76,22 +75,15 @@ class ProfileAccumulator:
             ``timed=True``, else None.
     """
 
-    def __init__(self, backend: str | None = None, *,
-                 timed: bool = False) -> None:
-        self._kernel = kernels.get_backend(backend)
+    def __init__(self, *, timed: bool = False) -> None:
         self.key: HeaderKey | None = None
         self.runs = 0
         self.profiles_added = 0
-        self._buckets = self._kernel.bucket_acc()
-        self._arcs = self._kernel.arc_table()
+        self._buckets = kernels.bucket_accumulator()
+        self._arcs = kernels.arc_table()
         self._comments: list[str] = []
         self._warnings: list[str] = []
         self.timings: dict | None = _new_timings() if timed else None
-
-    @property
-    def backend_name(self) -> str:
-        """Name of the kernel backend serving this accumulator."""
-        return self._kernel.name
 
     # -- feeding ---------------------------------------------------------------
 

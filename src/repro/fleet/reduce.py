@@ -27,6 +27,7 @@ import os
 from pathlib import Path
 from typing import Sequence
 
+from repro.core import kernels
 from repro.core.profiledata import ProfileData
 from repro.errors import GmonFormatError, MergeError
 from repro.gmon.format import peek_gmon_header, salvage_gmon_bytes
@@ -201,8 +202,10 @@ def tree_reduce(
         on_incompatible: ``"error"`` (default) or ``"skip"``, applied
             by the header precheck before any bucket data is read.
         stats_out: optional dict to fill with merge telemetry — the
-            kernel backend name plus the parse vs fold wall-time split
-            (``repro-merge --stats`` surfaces it).
+            kernel backend name (``"numpy"`` or ``"python"``, from
+            :func:`repro.core.kernels.default_backend_name`) plus the
+            parse vs fold wall-time split (``repro-merge --stats``
+            surfaces it).
 
     Returns data equal to ``merge_profiles([read_gmon(p) for p in
     paths])`` — byte-identical after :func:`~repro.gmon.write_gmon`.
@@ -227,7 +230,7 @@ def tree_reduce(
             acc.add(path)
     data = acc.result()
     if stats_out is not None:
-        stats_out["kernel_backend"] = acc.backend_name
+        stats_out["kernel_backend"] = kernels.default_backend_name()
         stats_out.update(acc.timings)
     data.warnings.extend(skip_warnings)
     return data

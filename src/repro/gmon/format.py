@@ -209,7 +209,7 @@ class RawGmon:
         Returns ``(from_pcs, self_pcs, counts)`` as stdlib
         ``array('Q')/array('Q')/array('I')`` columns — one bulk
         ``struct.unpack`` for the whole blob, the batch-friendly shape
-        the kernel backends (and any columnar consumer) want.
+        a columnar consumer wants.
         """
         n = self.narcs
         if not n:

@@ -64,10 +64,6 @@ class Layout:
         self.arity = {f.name: len(f.params) for f in program.functions}
 
 
-#: Backwards-compatible private alias (pre-pipeline name).
-_Layout = Layout
-
-
 # -- the source map ------------------------------------------------------------
 
 

@@ -40,7 +40,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.core import kernels
 from repro.pipeline.cache import (
     AnalysisCache,
     combine,
@@ -176,12 +175,7 @@ def _run_stage(
         start = time.perf_counter()
         stage.run(state, counters)
         trace.add(
-            StageTrace(
-                stage.name, time.perf_counter() - start, counters,
-                backend=(
-                    kernels.default_backend_name() if stage.kernel else ""
-                ),
-            )
+            StageTrace(stage.name, time.perf_counter() - start, counters)
         )
     else:
         stage.run(state, counters)
@@ -212,7 +206,6 @@ def run_analysis(
     state = PipelineState(data, symbols, options, warnings=list(data.warnings))
     keys = compute_keys(state) if cache is not None else None
     stage_by_name = {s.name: s for s in STAGES}
-    backend = kernels.default_backend_name()
     if cache is not None:
         # Seed the geometry spans if a same-layout analysis already
         # built them.  This is a sub-stage memo, not a cache group: a
@@ -233,14 +226,7 @@ def run_analysis(
                     trace.cache_hits += 1
                     for name, counters in journal:
                         trace.add(
-                            StageTrace(
-                                name, 0.0, dict(counters), cached=True,
-                                backend=(
-                                    backend
-                                    if stage_by_name[name].kernel
-                                    else ""
-                                ),
-                            )
+                            StageTrace(name, 0.0, dict(counters), cached=True)
                         )
                 continue
             if trace is not None:

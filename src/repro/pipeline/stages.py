@@ -85,9 +85,6 @@ class Stage:
     requires: tuple[str, ...] = ()
     #: State fields this stage writes.
     provides: tuple[str, ...] = ()
-    #: Whether the stage's arithmetic is served by a repro.core.kernels
-    #: backend (surfaced per-stage in the pipeline trace).
-    kernel: bool = False
 
     def run(self, state: PipelineState, counters: dict[str, int]) -> None:
         raise NotImplementedError  # pragma: no cover - interface
@@ -172,12 +169,11 @@ class ApportionStage(Stage):
     layout and symbol table; when the runner found them in the
     analysis cache they ride in on ``state.spans`` and the stage skips
     the geometry walk entirely, evaluating the cached spans against
-    this input's counts with the selected kernel backend.
+    this input's counts with the prefix-sum kernel.
     """
 
     name = "apportion"
     provides = ("spans", "self_times")
-    kernel = True
 
     def run(self, state: PipelineState, counters: dict[str, int]) -> None:
         from repro.core import kernels
@@ -299,7 +295,6 @@ class PropagateStage(Stage):
     name = "propagate"
     requires = ("numbered", "self_times")
     provides = ("prop",)
-    kernel = True
 
     def run(self, state: PipelineState, counters: dict[str, int]) -> None:
         state.prop = propagate(state.numbered, state.self_times)

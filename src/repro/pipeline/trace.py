@@ -38,28 +38,21 @@ class StageTrace:
             when the value was first computed.
         cached: True when the stage's output came from the analysis
             cache rather than being recomputed.
-        backend: the :mod:`repro.core.kernels` backend that served the
-            stage's arithmetic (``"numpy"``, ``"array"``, ``"python"``),
-            or ``""`` for stages with no kernel involvement.
     """
 
     name: str
     seconds: float = 0.0
     counters: dict[str, int] = field(default_factory=dict)
     cached: bool = False
-    backend: str = ""
 
     def to_dict(self) -> dict:
         """JSON-serializable form with deterministically-ordered counters."""
-        d = {
+        return {
             "name": self.name,
             "cached": self.cached,
             "seconds": round(self.seconds, 6),
             "counters": {k: self.counters[k] for k in sorted(self.counters)},
         }
-        if self.backend:
-            d["backend"] = self.backend
-        return d
 
 
 @dataclass
@@ -127,8 +120,6 @@ class PipelineTrace:
                 f"{k}={s.counters[k]}" for k in sorted(s.counters)
             )
             mark = "  [cached]" if s.cached else ""
-            if s.backend:
-                mark += f"  [{s.backend}]"
             lines.append(
                 f"  {s.name:<{width}}  {s.seconds * 1000:8.2f} ms"
                 f"{mark}  {counters}".rstrip()

@@ -40,6 +40,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.core import kernels
 from repro.errors import GmonFormatError
 from repro.fleet.accumulator import ProfileAccumulator
 from repro.fleet.headers import HeaderKey
@@ -455,7 +456,7 @@ class TenantStore:
             total_ticks=self.acc.total_ticks if not self.acc.empty else 0,
             distinct_arcs=self.acc.distinct_arcs,
             layout=self.acc.key.digest() if self.acc.key else None,
-            kernel_backend=self.acc.backend_name,
+            kernel_backend=kernels.default_backend_name(),
             recent=len(self.recent),
             quarantine_entries=self.quarantine.count(self.name),
         )

@@ -55,26 +55,6 @@ class TestGprofCli:
         summed = read_gmon(out_path)
         assert summed.runs == 2
 
-    def test_timings_show_kernel_backend(self, netcycle_files, capsys):
-        image, gmons = netcycle_files
-        assert gprof_main(
-            [str(image), str(gmons[0]), "--timings", "--kernels", "python"]
-        ) == 0
-        err = capsys.readouterr().err
-        assert "pipeline timings" in err
-        # the two kernel-served stages are tagged with the backend
-        assert err.count("[python]") == 2
-        for line in err.splitlines():
-            if line.strip().startswith(("apportion", "propagate")):
-                assert "[python]" in line
-
-    def test_kernels_flag_rejects_unknown_backend(self, netcycle_files, capsys):
-        image, gmons = netcycle_files
-        assert gprof_main(
-            [str(image), str(gmons[0]), "--kernels", "gpu"]
-        ) == 1
-        assert "unknown kernel backend" in capsys.readouterr().err
-
     def test_arc_deletion_flag(self, netcycle_files, capsys):
         image, gmons = netcycle_files
         assert gprof_main(

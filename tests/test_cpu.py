@@ -219,7 +219,7 @@ class TestSampling:
 """
         cpu, mon = self._monitored(src, cycles_per_tick=10)
         exe = cpu.exe
-        times = mon.histogram.assign_samples(exe.symbol_table())
+        times = mon.histogram.time_for_symbols(exe.symbol_table())
         # Practically all samples must hit 'burner'.
         assert times["burner"] > 0.95 * mon.histogram.total_time
 

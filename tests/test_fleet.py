@@ -326,41 +326,17 @@ class TestMergeCli:
 
     def test_stats_report_backend_and_phase_split(self, tmp_path, capsys):
         from repro.cli.merge_cli import main as merge_main
+        from repro.core import kernels
 
         _synthetic_fleet(tmp_path, 5)
         out = tmp_path / "gmon.sum"
         assert merge_main(
-            ["-o", str(out), str(tmp_path / "gmon_*.out"),
-             "--stats", "--kernels", "python"]
+            ["-o", str(out), str(tmp_path / "gmon_*.out"), "--stats"]
         ) == 0
         err = capsys.readouterr().err
-        assert "kernel backend python" in err
+        assert f"kernel backend {kernels.default_backend_name()}" in err
         assert "parse" in err and "fold" in err
         assert "5 wire input(s)" in err
-
-    def test_kernels_flag_never_changes_the_bytes(self, tmp_path, capsys):
-        from repro.cli.merge_cli import main as merge_main
-        from repro.core import kernels
-
-        _synthetic_fleet(tmp_path, 6)
-        outputs = set()
-        for backend in kernels.available_backends():
-            out = tmp_path / f"sum.{backend}"
-            assert merge_main(
-                ["-o", str(out), str(tmp_path / "gmon_*.out"),
-                 "--kernels", backend, "-q"]
-            ) == 0
-            outputs.add(out.read_bytes())
-        assert len(outputs) == 1
-
-    def test_unknown_kernels_backend_is_an_error(self, tmp_path, capsys):
-        from repro.cli.merge_cli import main as merge_main
-
-        _synthetic_fleet(tmp_path, 2)
-        assert merge_main(
-            ["-o", str(tmp_path / "s"), str(tmp_path), "--kernels", "cuda"]
-        ) == 1
-        assert "unknown kernel backend" in capsys.readouterr().err
 
 
 class TestGprofSum:

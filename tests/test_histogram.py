@@ -86,7 +86,7 @@ class TestAssignSamples:
             h.record(10)
         for _ in range(60):
             h.record(150)
-        times = h.assign_samples(syms)
+        times = h.time_for_symbols(syms)
         assert times["a"] == pytest.approx(0.5)
         assert times["b"] == pytest.approx(1.0)
 
@@ -95,7 +95,7 @@ class TestAssignSamples:
         # gprof's asgnsamples).
         syms = SymbolTable([Symbol(0, "a", 5), Symbol(5, "b", 10)])
         h = Histogram(0, 10, [60], profrate=60)  # a single bucket
-        times = h.assign_samples(syms)
+        times = h.time_for_symbols(syms)
         assert times["a"] == pytest.approx(0.5)
         assert times["b"] == pytest.approx(0.5)
 
@@ -104,19 +104,19 @@ class TestAssignSamples:
         h = Histogram.for_range(0, 100, scale=1.0, profrate=60)
         h.record(5)
         h.record(50)  # outside 'a'
-        times = h.assign_samples(syms)
+        times = h.time_for_symbols(syms)
         assert times == {"a": pytest.approx(1 / 60)}
 
     def test_empty_histogram(self):
         syms = make_symbols("a")
-        assert Histogram.for_range(0, 0).assign_samples(syms) == {}
+        assert Histogram.for_range(0, 0).time_for_symbols(syms) == {}
 
     def test_conservation_when_fully_covered(self):
         syms = make_symbols("a", "b", "c")
         h = Histogram.for_range(0, 300, scale=0.1, profrate=60)
         for pc in range(0, 300, 7):
             h.record(pc)
-        times = h.assign_samples(syms)
+        times = h.time_for_symbols(syms)
         assert sum(times.values()) == pytest.approx(h.total_time)
 
 
@@ -169,5 +169,5 @@ def test_assignment_conserves_time(pcs):
     h = Histogram.for_range(0, 300, scale=0.13, profrate=60)
     for pc in pcs:
         h.record(pc)
-    times = h.assign_samples(syms)
+    times = h.time_for_symbols(syms)
     assert sum(times.values()) == pytest.approx(h.total_time)

@@ -1,11 +1,13 @@
-"""Unit tests for repro.core.kernels: selection, folds, spans, plans.
+"""Unit tests for repro.core.kernels: folds, spans, plans, factories.
 
-The backend contract is *exactness*, not closeness: every backend's
-bucket/arc folds must equal the python reference integer-for-integer,
-and the float kernels must produce bit-identical dicts.  The
-cross-backend property sweep lives in ``test_kernels_equivalence``;
-these tests pin the mechanics — selection precedence, the overflow
-demotion paths, error shapes, memoization — with hand-built inputs.
+The kernel contract is *exactness*, not closeness: the numpy folds must
+equal the python reference integer-for-integer, and the prefix-sum
+apportionment must produce bit-identical dicts.  Tests parametrized
+over ``python`` and ``numpy`` run each implementation class against
+hand-built inputs (the ``numpy`` ids skip where numpy is absent); the
+property sweep lives in ``test_kernels_equivalence``.  These tests pin
+the mechanics — which fold runs where, the overflow demotion paths,
+error shapes, memoization.
 """
 
 from __future__ import annotations
@@ -23,23 +25,30 @@ from repro.core.kernels import arcs as karcs
 from repro.core.kernels import buckets as kbuckets
 from repro.core.kernels import prop as kprop
 from repro.core.kernels.buckets import _LANE_LIMIT
-from repro.core.kernels.spans import build_spans, spans_for
+from repro.core.kernels.spans import (
+    apportion,
+    apportion_python,
+    build_spans,
+    spans_for,
+)
 from repro.core.symbols import Symbol, SymbolTable
 from repro.errors import KernelBackendError
-from repro.fleet import ProfileAccumulator
+from repro.fleet import ProfileAccumulator, tree_reduce
 
 from tests.helpers import graph_from_edges, make_symbols
 
-BACKENDS = kernels.available_backends()
+#: The two implementations of each fold: the reference and numpy's.
+IMPLS = [
+    "python",
+    pytest.param("numpy", marks=pytest.mark.skipif(
+        not kernels.HAVE_NUMPY, reason="numpy not available")),
+]
 
-
-@pytest.fixture(autouse=True)
-def _clean_selection(monkeypatch):
-    """Isolate every test from ambient backend selection state."""
-    monkeypatch.delenv(kernels.ENV_VAR, raising=False)
-    kernels.set_default_backend(None)
-    yield
-    kernels.set_default_backend(None)
+BUCKETS = {
+    "python": kbuckets.BucketAccumulator,
+    "numpy": kbuckets.NumpyBucketAccumulator,
+}
+ARCS = {"python": karcs.ArcTable, "numpy": karcs.NumpyArcTable}
 
 
 def pack_buckets(counts) -> bytes:
@@ -50,60 +59,32 @@ def pack_arcs(triples) -> bytes:
     return b"".join(struct.pack("<QQI", f, s, c) for f, s, c in triples)
 
 
-# -- backend selection -------------------------------------------------------
+# -- the production factories ------------------------------------------------
 
 
-class TestSelection:
-    def test_registry_contents(self):
-        assert BACKENDS[0] == "python"
-        assert "array" in BACKENDS
-        if kernels.HAVE_NUMPY:
-            assert "numpy" in BACKENDS
+class TestFactories:
+    def test_numpy_folds_when_numpy_imports(self):
+        if not kernels.HAVE_NUMPY:
+            pytest.skip("numpy not available")
+        assert type(kernels.bucket_accumulator()) is BUCKETS["numpy"]
+        assert type(kernels.arc_table()) is ARCS["numpy"]
+        assert kernels.default_backend_name() == "numpy"
 
-    def test_auto_never_picks_python(self):
-        assert kernels.get_backend("auto").name != "python"
-        assert kernels.get_backend().name != "python"
-
-    def test_auto_prefers_numpy_when_present(self):
-        expected = "numpy" if kernels.HAVE_NUMPY else "array"
-        assert kernels.get_backend("auto").name == expected
-        assert kernels.default_backend_name() == expected
-
-    def test_env_var_selects(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VAR, "python")
-        assert kernels.get_backend().name == "python"
-
-    def test_forced_outranks_env(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VAR, "python")
-        kernels.set_default_backend("array")
-        assert kernels.get_backend().name == "array"
-        kernels.set_default_backend(None)
-        assert kernels.get_backend().name == "python"
-
-    def test_explicit_name_outranks_everything(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VAR, "array")
-        kernels.set_default_backend("array")
-        assert kernels.get_backend("python").name == "python"
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(KernelBackendError):
-            kernels.get_backend("fortran")
-        with pytest.raises(KernelBackendError):
-            kernels.set_default_backend("fortran")
-        # the failed set must not install anything
-        assert kernels.get_backend().name != "python"
-
-    def test_names_are_normalized(self):
-        assert kernels.get_backend(" Python ").name == "python"
+    def test_reference_folds_without_numpy(self, monkeypatch):
+        """The factories read HAVE_NUMPY at call time."""
+        monkeypatch.setattr(kernels, "HAVE_NUMPY", False)
+        assert type(kernels.bucket_accumulator()) is BUCKETS["python"]
+        assert type(kernels.arc_table()) is ARCS["python"]
+        assert kernels.default_backend_name() == "python"
 
 
 # -- bucket accumulators -----------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", IMPLS)
 class TestBuckets:
     def make(self, backend):
-        return kernels.get_backend(backend).bucket_acc()
+        return BUCKETS[backend]()
 
     def test_blob_and_seq_folds_agree_with_reference(self, backend):
         vectors = [
@@ -140,7 +121,10 @@ class TestBuckets:
         with pytest.raises(KernelBackendError):
             acc.fold_seq([1, 2])
         with pytest.raises(KernelBackendError):
+            acc.fold_seq([])
+        with pytest.raises(KernelBackendError):
             acc.fold_blob(pack_buckets([1, 2, 3, 4]))
+        assert acc.to_list() == [1, 2, 3]
 
     def test_fold_of_empty_is_identity(self, backend):
         """The empty profile's all-zero vector is the fold's identity."""
@@ -185,10 +169,10 @@ TRIPLES = [
 ]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", IMPLS)
 class TestArcs:
     def make(self, backend):
-        return kernels.get_backend(backend).arc_table()
+        return ARCS[backend]()
 
     def test_blob_fold_condenses(self, backend):
         t = self.make(backend).fold_blob(pack_arcs(TRIPLES))
@@ -286,25 +270,23 @@ def test_numpy_arc_table_flush_paths(layout):
 
 
 class TestSpans:
-    def test_backends_agree_bitwise(self):
+    @pytest.mark.parametrize("counts", [
+        [3, 0, 5, 7, 11, 2, 9],
+        [1 << 62] * 7,  # sums far past u64: python ints stay exact
+    ], ids=["fractional-edges", "huge-counts"])
+    def test_prefix_sum_matches_reference(self, counts):
         symbols = make_symbols("a", "b", "c", "d")
         # 7 buckets over 400 addresses: every symbol has fractional edges
         spans = build_spans(0, 400, 7, symbols)
-        counts = [3, 0, 5, 7, 11, 2, 9]
-        results = {
-            name: kernels.get_backend(name).apportion(spans, counts, 0.01)
-            for name in BACKENDS
-        }
-        ref = results["python"]
+        ref = apportion_python(spans, counts, 0.01)
         assert ref  # the layout must actually produce times
-        for name, res in results.items():
-            assert res == ref, name
+        assert apportion(spans, counts, 0.01) == ref
 
     def test_empty_counts_give_empty_times(self):
         symbols = make_symbols("a")
         spans = build_spans(0, 100, 4, symbols)
-        for name in BACKENDS:
-            assert kernels.get_backend(name).apportion(spans, [0] * 4, 0.01) == {}
+        assert apportion(spans, [0] * 4, 0.01) == {}
+        assert apportion_python(spans, [0] * 4, 0.01) == {}
 
     def test_zero_bucket_layout_has_no_entries(self):
         spans = build_spans(0, 100, 0, make_symbols("a"))
@@ -322,17 +304,6 @@ class TestSpans:
         s3 = spans_for(symbols, 0, 200, 16)
         assert s1 is s2
         assert s3 is not s1 and s3.nbuckets == 16
-
-    def test_numpy_overflow_guard_falls_back(self):
-        if not kernels.HAVE_NUMPY:
-            pytest.skip("numpy not available")
-        from repro.core.kernels.spans import apportion_numpy
-
-        symbols = make_symbols("a", "b")
-        spans = build_spans(0, 200, 8, symbols)
-        counts = [1 << 62] * 8  # peak * n overflows u64
-        ref = kernels.get_backend("python").apportion(spans, counts, 0.01)
-        assert apportion_numpy(spans, counts, 0.01) == ref
 
 
 def historical_spans(low_pc, high_pc, nbuckets, symbols):
@@ -458,24 +429,10 @@ class TestPropPlan:
         assert p2 is not p1
         assert p2.fingerprint == numbered.graph.num_arcs()
 
-    def test_scalar_and_vector_solves_agree_bitwise(self):
-        if not kernels.HAVE_NUMPY:
-            pytest.skip("numpy not available")
-        # wide fan-in so the vector path crosses _VECTOR_MIN_ARCS
-        edges = [(f"c{i}", "hub", i + 1) for i in range(40)]
-        edges += [("hub", "leaf", 3)]
-        numbered = number_graph(graph_from_edges(*edges))
-        plan = kprop.plan_for(numbered)
-        self_times = {f"c{i}": 0.25 * i for i in range(40)}
-        self_times.update(hub=7.5, leaf=2.25)
-        scalar = kprop.solve(plan, self_times, vector=False)
-        vector = kprop.solve(plan, self_times, vector=True)
-        assert scalar == vector  # dataclass equality: bitwise columns
-
     def test_solve_skips_uncalled_representatives(self):
         numbered = number_graph(graph_from_edges(("main", "leaf", 0)))
         plan = kprop.plan_for(numbered)
-        sol = kprop.solve(plan, {"main": 1.0, "leaf": 2.0}, vector=False)
+        sol = kprop.solve(plan, {"main": 1.0, "leaf": 2.0})
         # leaf was never called: no time flows up to main
         main_idx = plan.order.index(plan.order[-1])
         assert sol.total_program_time == 3.0
@@ -486,24 +443,37 @@ class TestPropPlan:
 # -- accumulator integration -------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", IMPLS)
 class TestAccumulatorBackend:
-    def test_backend_name_surfaces(self, backend):
-        assert ProfileAccumulator(backend).backend_name == backend
+    """The accumulator on each host's folds (``python``: numpy hidden)."""
+
+    @pytest.fixture(autouse=True)
+    def _host(self, backend, monkeypatch):
+        if backend == "python":
+            monkeypatch.setattr(kernels, "HAVE_NUMPY", False)
+
+    def test_backend_name_surfaces(self, backend, tmp_path):
+        """The merge statistics name the folds the merge ran on."""
+        path = tmp_path / "gmon.out"
+        path.write_bytes(make_wire_profile())
+        stats: dict = {}
+        tree_reduce([path], stats_out=stats)
+        assert stats["kernel_backend"] == backend
 
     def test_accumulator_pickles(self, backend):
-        acc = ProfileAccumulator(backend, timed=True)
+        acc = ProfileAccumulator(timed=True)
         acc.add_raw(
             __import__("repro.gmon", fromlist=["parse_gmon_raw"]).parse_gmon_raw(
                 make_wire_profile()
             )
         )
+        assert type(acc._buckets) is BUCKETS[backend]
         clone = pickle.loads(pickle.dumps(acc))
-        assert clone.backend_name == backend
+        assert type(clone._buckets) is BUCKETS[backend]
         assert clone.result() == acc.result()
 
     def test_timed_split_counts_inputs(self, backend):
-        acc = ProfileAccumulator(backend, timed=True)
+        acc = ProfileAccumulator(timed=True)
         acc.add(make_wire_profile())
         acc.add(make_wire_profile())
         assert acc.timings["inputs"] == 2

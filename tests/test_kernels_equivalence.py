@@ -1,45 +1,46 @@
-"""Property suite: every kernel backend is observationally identical.
+"""Property suite: both fold paths and both apportion evaluators agree.
 
-The tentpole claim of :mod:`repro.core.kernels` is not "close enough"
-— it is that swapping backends can never change a single output byte.
+The claim of :mod:`repro.core.kernels` is not "close enough" — it is
+that whether numpy imports can never change a single output byte, and
+that the production apportionment is the reference's, bit for bit.
 These tests generate adversarial inputs (random layouts, non-power-of-
 two bucket widths, empty histograms, zero-arc files, counts at the
-u32 ceiling) and assert three levels of identity:
+u32 ceiling) and assert:
 
 1. **wire bytes**: merging a fleet through :class:`ProfileAccumulator`
-   on any backend and re-serializing yields byte-identical ``gmon``
-   output, equal to the legacy ``merge_profiles`` path;
-2. **listings**: the flat and call-graph listings of a full analysis
-   are character-identical across backends;
-3. **apportionment semantics**: the span-compressed evaluator agrees
-   with the historical per-bucket formula to ≤1e-9 relative — the one
-   place the kernels deliberately reassociate a float sum (see
-   ``repro/core/kernels/spans.py`` for why bit-identity *across
-   backends* still holds exactly).
+   on the production folds, and again with numpy hidden (the reference
+   folds), yields ``gmon`` bytes byte-identical to the independent
+   ``merge_profiles`` fold;
+2. **apportionment**: the production prefix-sum evaluator equals
+   ``apportion_python`` bit for bit, and agrees with the historical
+   per-bucket formula to ≤1e-9 relative — the one place the kernels
+   deliberately reassociate a float sum (see
+   ``repro/core/kernels/spans.py`` for why bit-identity with the
+   reference still holds exactly).
+
+Analysis (apportion and propagate) runs the same code with numpy or
+without, so the listings need no cross-path property.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
-    AnalysisOptions,
     Histogram,
     ProfileData,
     RawArc,
     Symbol,
     SymbolTable,
-    analyze,
     merge_profiles,
 )
 from repro.core import kernels
-from repro.core.kernels.spans import build_spans
+from repro.core.kernels.spans import apportion, apportion_python, build_spans
 from repro.fleet import ProfileAccumulator
-from repro.gmon import dumps_gmon
-from repro.report import format_flat_profile, format_graph_profile
-
-BACKENDS = kernels.available_backends()
+from repro.gmon import dumps_gmon, parse_gmon
 
 U32 = 0xFFFFFFFF
 
@@ -143,23 +144,22 @@ def images(draw):
 # -- level 1: wire bytes -----------------------------------------------------
 
 
+def merged_bytes(blobs: list[bytes], with_numpy: bool) -> bytes:
+    """Fold ``blobs`` on the production folds, or with numpy hidden."""
+    have_numpy = kernels.HAVE_NUMPY and with_numpy
+    with mock.patch.object(kernels, "HAVE_NUMPY", have_numpy):
+        acc = ProfileAccumulator()
+        for blob in blobs:
+            acc.add(blob)
+        return dumps_gmon(acc.result())
+
+
 @given(fleets())
 @settings(deadline=None, max_examples=60)
 def test_merged_gmon_bytes_identical_across_backends(blobs):
-    outputs = {}
-    for name in BACKENDS:
-        acc = ProfileAccumulator(name)
-        for blob in blobs:
-            acc.add(blob)
-        outputs[name] = dumps_gmon(acc.result())
-    reference = outputs["python"]
-    for name, out in outputs.items():
-        assert out == reference, f"backend {name} diverged on the wire"
-    # and the legacy pairwise-merge path agrees too
-    from repro.gmon import parse_gmon
-
-    legacy = merge_profiles([parse_gmon(b) for b in blobs])
-    assert dumps_gmon(legacy) == reference
+    reference = dumps_gmon(merge_profiles([parse_gmon(b) for b in blobs]))
+    for with_numpy in (True, False):
+        assert merged_bytes(blobs, with_numpy) == reference, with_numpy
 
 
 def test_empty_histogram_and_zero_arc_files_round_trip():
@@ -172,39 +172,12 @@ def test_empty_histogram_and_zero_arc_files_round_trip():
         ProfileData(Histogram(0, 8, [U32 // 2, 7], 60), [], runs=1)
     )
     for blobs in ([empty_hist, empty_hist], [zero_arcs], [half, half]):
-        outs = set()
-        for name in BACKENDS:
-            acc = ProfileAccumulator(name)
-            for b in blobs:
-                acc.add(b)
-            outs.add(dumps_gmon(acc.result()))
-        assert len(outs) == 1
+        reference = dumps_gmon(merge_profiles([parse_gmon(b) for b in blobs]))
+        for with_numpy in (True, False):
+            assert merged_bytes(blobs, with_numpy) == reference
 
 
-# -- level 2: listings -------------------------------------------------------
-
-
-@given(images())
-@settings(deadline=None, max_examples=40)
-def test_listings_identical_across_backends(image):
-    symbols, data = image
-    listings = {}
-    for name in BACKENDS:
-        kernels.set_default_backend(name)
-        try:
-            profile = analyze(data, symbols, AnalysisOptions())
-            listings[name] = (
-                format_flat_profile(profile),
-                format_graph_profile(profile),
-            )
-        finally:
-            kernels.set_default_backend(None)
-    reference = listings["python"]
-    for name, out in listings.items():
-        assert out == reference, f"backend {name} changed a listing"
-
-
-# -- level 3: apportionment vs the historical formula ------------------------
+# -- level 2: apportionment vs the reference and the historical formula ------
 
 
 def historical_assign(hist: Histogram, symbols: SymbolTable):
@@ -241,29 +214,21 @@ def test_span_evaluation_matches_historical_formula(image):
     spans = build_spans(
         hist.low_pc, hist.high_pc, hist.num_buckets, symbols
     )
-    for name in BACKENDS:
-        got = kernels.get_backend(name).apportion(
-            spans, hist.counts, hist.seconds_per_tick
-        )
-        assert got.keys() == expected.keys()
-        for routine, want in expected.items():
-            assert got[routine] == pytest.approx(want, rel=1e-9), (
-                name,
-                routine,
-            )
+    got = apportion(spans, hist.counts, hist.seconds_per_tick)
+    assert got.keys() == expected.keys()
+    for routine, want in expected.items():
+        assert got[routine] == pytest.approx(want, rel=1e-9), routine
 
 
 @given(images())
 @settings(deadline=None, max_examples=40)
-def test_histogram_time_for_symbols_uses_selected_backend(image):
-    """The public entry point agrees bitwise across backends."""
+def test_histogram_time_for_symbols_matches_reference(image):
+    """The public entry point equals the reference evaluator bitwise."""
     symbols, data = image
     hist = data.histogram
-    results = set()
-    for name in BACKENDS:
-        kernels.set_default_backend(name)
-        try:
-            results.add(tuple(sorted(hist.time_for_symbols(symbols).items())))
-        finally:
-            kernels.set_default_backend(None)
-    assert len(results) == 1
+    spans = build_spans(
+        hist.low_pc, hist.high_pc, hist.num_buckets, symbols
+    )
+    reference = apportion_python(spans, hist.counts, hist.seconds_per_tick)
+    got = hist.time_for_symbols(symbols)
+    assert list(got.items()) == list(reference.items())

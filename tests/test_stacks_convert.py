@@ -22,7 +22,7 @@ class TestProjection:
 
     def test_histogram_holds_leaf_ticks(self):
         data, symbols = as_profile_data(self._toy())
-        times = data.histogram.assign_samples(symbols)
+        times = data.histogram.time_for_symbols(symbols)
         assert times["leaf"] == pytest.approx(0.09)
         assert times["main"] == pytest.approx(0.01)
         assert data.total_ticks == 10

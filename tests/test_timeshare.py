@@ -115,8 +115,9 @@ class TestElapsedVsSampled:
     def test_sampling_unaffected_by_time_slicing(self):
         _, alone_monitor, exe = self._run_alone()
         _, _, shared_monitor, _ = self._run_shared()
-        alone_times = alone_monitor.histogram.assign_samples(exe.symbol_table())
-        shared_times = shared_monitor.histogram.assign_samples(exe.symbol_table())
+        symbols = exe.symbol_table()
+        alone_times = alone_monitor.histogram.time_for_symbols(symbols)
+        shared_times = shared_monitor.histogram.time_for_symbols(symbols)
         # the sampled profile of the measured process is identical: its
         # own clock only advances while it runs.
         assert shared_times == alone_times

@@ -144,7 +144,7 @@ class CPU:
         being executed when the tick fires.
         """
         self.cycles += cost
-        if self.monitor is None or self._tick_interval <= 0:
+        if self.monitor is None:
             return
         while self._next_tick <= self.cycles:
             self.monitor.tick(at_pc)

@@ -37,12 +37,16 @@ lookups repeated per instruction.
 hoisted out of the dispatch loop: the run loop computes the next event
 cycle once — the next profiling tick, the next interrupt delivery, the
 ``max_cycles`` budget — and burns straight-line instructions against a
-local cycle counter until an instruction would cross it.  The crossing
-instruction (and anything predecode deferred) is executed by the
-reference ``step()``, which fires the tick at the correct PC, delivers
-checkpoints, and walks stacks, so sampling semantics are inherited
-rather than re-implemented.  At the default 100 cycles per tick, the
-careful path runs roughly once per sixty dispatches.
+local cycle counter until an instruction would cross it.  A stock
+:meth:`Monitor.tick` touches nothing but the monitor, so the loop fires
+it itself: the crossing instruction runs on the fast path, then every
+tick its charge reached fires at its pc, in ``step()``'s order, and
+dispatch resumes against the next tick.  The reference ``step()`` (the
+*careful* path) is kept for the instruction that reaches an interrupt's
+due cycle or the ``max_cycles`` budget, for monitors that override
+``tick`` (stack walks read and charge the CPU), and for anything
+predecode deferred.  Tick placement is re-implemented here, so it is the
+differential suite, not construction, that makes it identical.
 
 ``MCOUNT`` — the monitoring routine, executed on every profiled call —
 gets an inlined fast path for §3.1's "usually one" case: when the call
@@ -540,9 +544,16 @@ class FastCPU(CPU):
         handlers = self._handlers
         isize = INSTRUCTION_SIZE
         monitor = self.monitor
-        ticking = monitor is not None and self._tick_interval > 0
         has_irqs = bool(self._interrupts)
         frames = self.frames
+
+        # The stock tick touches nothing but the monitor, so the loop
+        # fires it itself; an override (stack walks that read and
+        # charge the CPU, shard counters, locks) keeps the reference
+        # step() for the instruction that crosses its tick.
+        loop_ticks = monitor is not None and type(monitor).tick is Monitor.tick
+        tick = monitor.tick if loop_ticks else None
+        interval = self._tick_interval
 
         # MCOUNT inlining is only sound against the stock table (the
         # callee-keyed ablation lacks the site-keyed chain layout) and
@@ -554,6 +565,10 @@ class FastCPU(CPU):
             and type(monitor).mcount is Monitor.mcount
         )
         stats = arc_table.stats if arc_table is not None else None
+        head_cost = MCOUNT_BASE_COST + MCOUNT_PROBE_COST
+        # The live table, read on every MCOUNT: a chain's head record
+        # never moves (records are appended, never reordered), so a
+        # head bump stays correct across kgmon-style mid-run resets.
         get_chain = arc_table._table.get if arc_table is not None else None
 
         # Local mirrors of the mutable machine registers.  ``trap``
@@ -574,11 +589,10 @@ class FastCPU(CPU):
         def careful(idx: int, cycles: int, n: int):
             """Execute one instruction via the reference ``step()``.
 
-            Used for the instruction that crosses an event horizon
-            (so ticks fire at the right pc, checkpoints flush, stack
-            walks charge their overhead) and for everything predecode
-            lowered to DEFER.  Returns re-derived
-            ``(idx, cycles, n, trap)``.
+            Used for the instruction that reaches an interrupt's due
+            cycle, the cycle budget, or a non-stock monitor's tick, and
+            for everything predecode lowered to DEFER.  Returns
+            re-derived ``(idx, cycles, n, trap)``.
             """
             nonlocal ref_state
             self.pc = idx * isize
@@ -591,6 +605,29 @@ class FastCPU(CPU):
             if r or q < 0 or q > n_instr:
                 return 0, self.cycles, self.instructions_executed, self.pc
             return q, self.cycles, self.instructions_executed, None
+
+        def fire(at: int, pc: int, cycles: int, n: int) -> int:
+            """Fire the stock ticks the instruction at index ``at``
+            reached, as ``step()`` does once it has run and charged it;
+            returns the next tick cycle.
+
+            The registers are written back first, so a tick that raises
+            (a killed checkpoint flush) leaves the reference engine's
+            machine state behind.
+            """
+            nonlocal ref_state
+            self.pc = pc
+            self.cycles = cycles
+            self.instructions_executed = n
+            ref_state = True
+            at_pc = at * isize
+            next_tick = self._next_tick
+            while next_tick <= cycles:
+                tick(at_pc)
+                next_tick += interval
+                self._next_tick = next_tick
+            ref_state = False
+            return next_tick
 
         try:
             while not self.halted:
@@ -617,28 +654,30 @@ class FastCPU(CPU):
                         f"fetch accepted trap pc {trap:#x}"
                     )
 
-                # The event horizon: the next cycle at which anything
-                # other than plain dispatch must happen.
-                next_event = _NO_EVENT
-                if ticking:
-                    next_event = self._next_tick
+                # The event horizons.  An instruction whose charge
+                # reaches ``limit`` (an interrupt falls due, the cycle
+                # budget runs out, a non-stock monitor ticks) runs
+                # through careful(); one that reaches only ``tick_at``
+                # runs on the fast path and then fires the stock ticks.
+                limit = _NO_EVENT
+                tick_at = _NO_EVENT
+                if loop_ticks:
+                    tick_at = self._next_tick
+                elif monitor is not None:
+                    limit = self._next_tick
                 if has_irqs and not self._irq_active:
                     due = min(self._next_irq)
-                    if due < next_event:
-                        next_event = due
-                if max_cycles is not None and max_cycles < next_event:
-                    next_event = max_cycles
+                    if due < limit:
+                        limit = due
+                if max_cycles is not None and max_cycles < limit:
+                    limit = max_cycles
+                horizon = tick_at if tick_at < limit else limit
 
                 try:
                     while n != stop_n:
                         op = ops[idx]
                         c = cycles + costs[idx]
-                        if c >= next_event or op >= EVENT_MIN:
-                            if op < EVENT_MIN or op == OP_DEFER:
-                                idx, cycles, n, trap = careful(
-                                    idx, cycles, n
-                                )
-                                break
+                        if c >= horizon or op >= EVENT_MIN:
                             if op == OP_MCOUNT:
                                 if monitor is None or not monitor.enabled:
                                     # Zero cost: cannot cross an event.
@@ -659,90 +698,115 @@ class FastCPU(CPU):
                                 else:
                                     from_pc = ra - isize
                                     chain = get_chain(from_pc)
-                                    if (
-                                        chain is not None
-                                        and chain[0][0] == self_pc
-                                    ):
-                                        # §3.1's "usually one": head
-                                        # bump, no scan, no allocation.
-                                        mc = (
-                                            MCOUNT_BASE_COST
-                                            + MCOUNT_PROBE_COST
+                                if (
+                                    from_pc is not None
+                                    and chain is not None
+                                    and chain[0][0] == self_pc
+                                ):
+                                    # §3.1's "usually one": head bump, no
+                                    # scan, no allocation.
+                                    c = cycles + head_cost
+                                    if c >= limit:
+                                        idx, cycles, n, trap = careful(
+                                            idx, cycles, n
                                         )
-                                        if cycles + mc >= next_event:
-                                            idx, cycles, n, trap = (
-                                                careful(idx, cycles, n)
-                                            )
-                                            break
-                                        chain[0][1] += 1
-                                        stats.lookups += 1
-                                        stats.probes += 1
-                                        cycles += mc
-                                        n += 1
-                                        idx += 1
-                                        continue
-                                # First call from this site, secondary
-                                # collision, or spontaneous: peek the
-                                # probe count record() will report, to
-                                # price the crossing check, then commit
-                                # through the real monitoring routine.
-                                probes = 1
-                                if chain:
-                                    probes = len(chain) + 1
-                                    for j, entry in enumerate(chain):
-                                        if entry[0] == self_pc:
-                                            probes = j + 1
-                                            break
-                                mc = (
-                                    MCOUNT_BASE_COST
-                                    + MCOUNT_PROBE_COST * probes
-                                )
-                                if cycles + mc >= next_event:
-                                    idx, cycles, n, trap = careful(
-                                        idx, cycles, n
+                                        break
+                                    chain[0][1] += 1
+                                    stats.lookups += 1
+                                    stats.probes += 1
+                                else:
+                                    # First call from this site, secondary
+                                    # collision, or spontaneous: peek the
+                                    # probe count record() will report, to
+                                    # price the crossing check, then
+                                    # commit through the real monitoring
+                                    # routine.
+                                    probes = 1
+                                    if chain:
+                                        probes = len(chain) + 1
+                                        for j, entry in enumerate(chain):
+                                            if entry[0] == self_pc:
+                                                probes = j + 1
+                                                break
+                                    c = (
+                                        cycles
+                                        + MCOUNT_BASE_COST
+                                        + MCOUNT_PROBE_COST * probes
                                     )
-                                    break
+                                    if c >= limit:
+                                        idx, cycles, n, trap = careful(
+                                            idx, cycles, n
+                                        )
+                                        break
+                                    monitor.mcount(from_pc, self_pc)
                                 n += 1
-                                monitor.mcount(from_pc, self_pc)
-                                cycles += mc
                                 idx += 1
-                                continue
-                            if op == OP_WORK:
-                                c += args[idx]
-                                if c >= next_event:
+                            elif op < EVENT_MIN:
+                                if c >= limit:
                                     idx, cycles, n, trap = careful(
                                         idx, cycles, n
                                     )
                                     break
+                                # Reaches a stock tick only: run it,
+                                # then fire.  A crossing HALT or RET
+                                # fires its ticks in the handlers below.
+                                n += 1
+                                at = idx
+                                idx = handlers[op](args[idx], idx)
                                 cycles = c
+                                tick_at = fire(at, idx * isize, c, n)
+                                horizon = tick_at if tick_at < limit else limit
+                                continue
+                            elif op == OP_WORK:
+                                c += args[idx]
+                                if c >= limit:
+                                    idx, cycles, n, trap = careful(
+                                        idx, cycles, n
+                                    )
+                                    break
                                 n += 1
                                 idx += 1
-                                continue
-                            # OP_OFFEND: execution fell off the end of
-                            # the text segment.  Budgets were already
-                            # checked and no interrupt can be due here
-                            # (cycles < next_event), so the reference
-                            # engine would fault fetching right now.
-                            self.pc = idx * isize
-                            self.cycles = cycles
-                            self.instructions_executed = n
-                            ref_state = True
-                            exe.fetch(self.pc)  # raises
-                            raise AssertionError(  # pragma: no cover
-                                f"fetch accepted pc {self.pc:#x}"
-                            )
+                            elif op == OP_DEFER:
+                                idx, cycles, n, trap = careful(idx, cycles, n)
+                                break
+                            else:
+                                # OP_OFFEND: execution fell off the end
+                                # of the text segment.  Budgets were
+                                # already checked and no interrupt can
+                                # be due here (cycles < limit), so the
+                                # reference engine would fault fetching
+                                # right now.
+                                self.pc = idx * isize
+                                self.cycles = cycles
+                                self.instructions_executed = n
+                                ref_state = True
+                                exe.fetch(self.pc)  # raises
+                                raise AssertionError(  # pragma: no cover
+                                    f"fetch accepted pc {self.pc:#x}"
+                                )
+                            # An MCOUNT or WORK ran on the fast path.
+                            cycles = c
+                            if c >= tick_at:
+                                tick_at = fire(idx - 1, idx * isize, c, n)
+                                horizon = tick_at if tick_at < limit else limit
+                            continue
                         n += 1
                         idx = handlers[op](args[idx], idx)
                         cycles = c
                 except _HaltLoop:
                     # HALT (or RET from the entry frame) leaves the pc
-                    # advanced past the halting instruction, charged.
+                    # advanced past the halting instruction, charged,
+                    # and fires its ticks with the machine halted.
                     cycles = c
                     idx += 1
                     self.halted = True
+                    if c >= tick_at:
+                        fire(idx - 1, idx * isize, c, n)
                     break
                 except _Resync as resync:
                     cycles = c
+                    if c >= tick_at:
+                        fire(idx, resync.addr, c, n)
                     q, r = divmod(resync.addr, isize)
                     if r or q < 0 or q > n_instr:
                         trap = resync.addr

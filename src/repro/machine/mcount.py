@@ -101,18 +101,6 @@ class ArcTable:
             self.stats.collisions += 1
         return MCOUNT_BASE_COST + MCOUNT_PROBE_COST * probes
 
-    def primary_chain(self, from_pc: int) -> list[list[int]] | None:
-        """The secondary (callee) chain for one call site, or None.
-
-        The fast interpreter's per-call-site memo keys off this: once a
-        chain exists, its head entry never moves (records are appended,
-        never reordered), so ``chain[0]`` can be cached and bumped
-        directly for the paper's "usually one probe" case.  Mutating the
-        returned lists bypasses :attr:`stats`; only :mod:`fastcpu` is
-        expected to, and only in lock-step with the stats contract.
-        """
-        return self._table.get(from_pc)
-
     def arcs(self) -> list[RawArc]:
         """Condense the table to raw arc records (§3.2's file step)."""
         return [

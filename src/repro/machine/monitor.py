@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 from repro.core.histogram import DEFAULT_PROFRATE, Histogram
 from repro.core.profiledata import ProfileData
+from repro.errors import MachineError
 from repro.machine.mcount import ArcTable, ArcTableStats
 from repro.resilience.faults import FaultInjector
 
@@ -36,13 +37,14 @@ class MonitorConfig:
         scale: histogram buckets per address unit (1.0 = the one-to-one
             mapping; smaller = coarser histogram in less memory).
         cycles_per_tick: simulated cycles per profiling clock tick (the
-            1/60th-of-a-second granularity knob).
+            1/60th-of-a-second granularity knob); must be positive.
         profrate: nominal ticks per second, used to express simulated
             cycles as seconds in reports.
         checkpoint_path: when set, flush a crash-safe snapshot of the
             profile data here while the program runs.
         checkpoint_interval: clock ticks between checkpoint flushes
-            (0 disables checkpointing even with a path set).
+            (0 disables checkpointing even with a path set; negative
+            values are rejected).
     """
 
     low_pc: int
@@ -52,6 +54,17 @@ class MonitorConfig:
     profrate: int = DEFAULT_PROFRATE
     checkpoint_path: str | None = None
     checkpoint_interval: int = 0
+
+    def __post_init__(self) -> None:
+        if self.cycles_per_tick <= 0:
+            raise MachineError(
+                f"cycles per tick must be positive, got {self.cycles_per_tick}"
+            )
+        if self.checkpoint_interval < 0:
+            raise MachineError(
+                "checkpoint interval must be non-negative, got "
+                f"{self.checkpoint_interval}"
+            )
 
 
 def _fast_bucket_params(

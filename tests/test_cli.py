@@ -6,7 +6,10 @@ import pytest
 
 from repro.cli.gprof_cli import main as gprof_main
 from repro.cli.kgmon_cli import main as kgmon_main
+from repro.cli.pgo_cli import main as pgo_main
 from repro.cli.prof_cli import main as prof_main
+from repro.cli.stacks_cli import main as stacks_main
+from repro.cli.vm_cli import main as vm_main
 from repro.gmon import read_gmon, write_gmon
 from repro.machine import assemble, run_profiled
 from repro.machine.programs import abstraction, netcycle
@@ -196,3 +199,31 @@ class TestKgmonCli:
         ) == 0
         out = capsys.readouterr().out
         assert "tcp_output" in out
+
+
+@pytest.mark.parametrize(
+    "tool,argv,message",
+    [
+        ("vm", ["run", "fib", "--profile", "--ticks", "0"], "cycles per tick"),
+        ("vm", ["run", "fib", "--profile", "--ticks", "-3"], "cycles per tick"),
+        ("stacks", ["vm", "fib", "--ticks", "0"], "cycles per tick"),
+        ("pgo", ["fib", "--ticks", "0"], "cycles per tick"),
+        (
+            "vm",
+            ["run", "fib", "--profile", "--checkpoint", "-1"],
+            "checkpoint interval",
+        ),
+    ],
+)
+def test_profile_without_a_clock_exits_1(
+    tool, argv, message, tmp_path, capsys, monkeypatch
+):
+    """A non-positive tick interval or a negative checkpoint interval is
+    a usage error, not a silently empty profile."""
+    monkeypatch.chdir(tmp_path)
+    main = {"vm": vm_main, "stacks": stacks_main, "pgo": pgo_main}[tool]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"repro-{tool}: ")
+    assert message in captured.err
+    assert "samples" not in captured.out

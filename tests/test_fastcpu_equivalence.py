@@ -7,8 +7,9 @@ only admissible because nothing can tell it apart from the reference
 same arc counts and mcount statistics, byte-identical ``gmon.out``,
 same error messages at the same machine states.  This suite pins that
 over the whole canned corpus, targeted edge cases (interrupt delivery,
-mid-WORK tick crossings, mid-run kgmon control), and
-hypothesis-generated random programs.
+mid-WORK tick crossings, ticks crossed by HALT and RET, checkpoint
+flushes killed or not, mid-run kgmon control), and hypothesis-generated
+random programs.
 """
 
 import pytest
@@ -18,10 +19,13 @@ from hypothesis import strategies as st
 from repro.check import check_executable
 from repro.errors import MachineError
 from repro.gmon import dumps_gmon
+from repro.lang import compile_to_asm
+from repro.lang.programs import REL_PROGRAMS
 from repro.machine import CPU, ENGINES, FastCPU, Monitor, MonitorConfig, assemble, make_cpu
 from repro.machine.cpu import InterruptSource
 from repro.machine.fastcpu import OP_DEFER, OP_OFFEND, predecode
 from repro.machine.programs import PROGRAMS
+from repro.resilience.faults import FaultInjector, InjectedFault
 
 
 def machine_state(cpu):
@@ -382,6 +386,196 @@ def test_stack_monitor_identical():
             mon.stack_walk_cycles,
         )
     assert states["fast"] == states["reference"]
+
+
+# --------------------------------------------------------------------------
+# Stock ticks fire inside the dispatch loop, not through step().
+# --------------------------------------------------------------------------
+
+
+@pytest.fixture()
+def step_calls(monkeypatch):
+    """Count calls of the reference ``CPU.step`` (the fast engine's
+    careful path) for the rest of the test."""
+    calls = [0]
+    step = CPU.step
+
+    def counted(cpu):
+        calls[0] += 1
+        step(cpu)
+
+    monkeypatch.setattr(CPU, "step", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_stock_ticks_never_step(name, step_calls):
+    """Every elapsed tick fires, and none of them needs the reference
+    step(): the crossing instruction runs on the fast path."""
+    exe = assemble(PROGRAMS[name](), profile=True)
+    for cycles_per_tick in (1, 7, 100):
+        for scale in (1.0, 0.3):
+            mon = Monitor(
+                MonitorConfig(
+                    exe.low_pc,
+                    exe.high_pc,
+                    scale=scale,
+                    cycles_per_tick=cycles_per_tick,
+                )
+            )
+            cpu = FastCPU(exe, mon)
+            cpu.run()
+            assert cpu.halted
+            assert (
+                mon.histogram.total_ticks + mon.ticks_dropped
+                == cpu.cycles // cycles_per_tick
+            )
+    assert step_calls[0] == 0
+
+
+@pytest.mark.parametrize("name", sorted(REL_PROGRAMS))
+def test_stock_ticks_never_step_compiled(name, step_calls):
+    asm = compile_to_asm(REL_PROGRAMS[name](), optimize_level=2)
+    exe = assemble(asm, name=name, profile=True)
+    mon = Monitor(MonitorConfig(exe.low_pc, exe.high_pc))
+    cpu = FastCPU(exe, mon)
+    cpu.run()
+    assert cpu.halted and mon.histogram.total_ticks > 0
+    assert step_calls[0] == 0
+
+
+@pytest.mark.parametrize("period", [37, 100, 250])
+def test_interrupt_runs_step_only_at_deliveries(period, step_calls):
+    """Ticks stay in the loop beside interrupt sources; only an
+    instruction that reaches a delivery's due cycle takes step()."""
+    exe = assemble(IRQ_PROGRAM, profile=True)
+    mon = Monitor(MonitorConfig(exe.low_pc, exe.high_pc))
+    cpu = FastCPU(exe, mon, interrupts=[InterruptSource("isr", period)])
+    cpu.run()
+    assert cpu.halted and cpu.interrupts_delivered > 0
+    assert step_calls[0] <= cpu.interrupts_delivered
+
+
+def test_stack_monitor_still_steps(step_calls):
+    """A monitor whose tick reads and charges the CPU keeps step()."""
+    from repro.stacks.vm import VMStackMonitor
+
+    exe = assemble(PROGRAMS["deep"](), profile=False)
+    mon = VMStackMonitor(
+        MonitorConfig(exe.low_pc, exe.high_pc, cycles_per_tick=25)
+    )
+    cpu = FastCPU(exe, mon)
+    mon.bind(cpu)
+    cpu.run()
+    assert 0 < step_calls[0] <= mon.histogram.total_ticks
+
+
+#: Programs whose tick-crossing instruction is a control transfer the
+#: fast loop finishes by exception: (source, interrupts, crossing pc).
+#: All run unprofiled (no MCOUNT) at 100 cycles per tick.
+CROSSING_CASES = {
+    # WORK 98 ends at cycle 99; the HALT's one cycle reaches 100.
+    "halt": (".func main\n WORK 98\n HALT\n.end\n", [], 0x4),
+    # WORK 97 ends at 98; RET from the entry routine (3) reaches 101.
+    "ret_from_entry": (".func main\n WORK 97\n RET\n.end\n", [], 0x4),
+    # The handler is entered at cycle 11; its WORK 86 ends at 98 and
+    # its RET back to main reaches 101.
+    "ret_from_interrupt": (
+        ".func main\n WORK 10\n WORK 200\n HALT\n.end\n"
+        ".func isr\n WORK 86\n RET\n.end\n",
+        [("isr", 1000, 5)],
+        0x10,
+    ),
+}
+
+
+@pytest.mark.parametrize("killed", [False, True], ids=["ticked", "killed"])
+@pytest.mark.parametrize("case", sorted(CROSSING_CASES))
+def test_crossing_control_transfer_identical(case, killed, tmp_path, step_calls):
+    """A crossing HALT or RET fires its ticks at its own pc, after it
+    completes; a flush killed by that tick leaves the reference state."""
+    source, interrupts, crossing_pc = CROSSING_CASES[case]
+    states = {}
+    for engine in ENGINES:
+        exe = assemble(source, profile=False)
+        mon = Monitor(MonitorConfig(exe.low_pc, exe.high_pc))
+        if killed:
+            mon.enable_checkpoints(
+                tmp_path / f"{engine}.gmon",
+                1,
+                injector=FaultInjector(kill_after=11, arm_on_call=1),
+            )
+        irqs = [InterruptSource(*spec) for spec in interrupts]
+        cpu = make_cpu(exe, mon, interrupts=irqs, engine=engine)
+        calls_before = step_calls[0]
+        if killed:
+            with pytest.raises(InjectedFault):
+                cpu.run()
+        else:
+            cpu.run()
+        assert mon.histogram.counts[mon.histogram.bucket_for(crossing_pc)] == 1
+        states[engine] = (
+            machine_state(cpu),
+            monitor_state(mon),
+            cpu._next_tick,
+        )
+        if engine == "fast":
+            assert step_calls[0] - calls_before <= cpu.interrupts_delivered
+    assert states["fast"] == states["reference"]
+
+
+@pytest.mark.parametrize("arm_on_call", [1, 3, 7])
+@pytest.mark.parametrize("name", ["fib", "dispatch", "compute_heavy"])
+def test_killed_checkpoint_flush_identical(name, arm_on_call, tmp_path):
+    """A checkpoint flush killed from inside a tick: both engines raise
+    and stop in the same machine state with the same histogram."""
+    states = {}
+    for engine in ENGINES:
+        exe = assemble(PROGRAMS[name](), profile=True)
+        mon = Monitor(
+            MonitorConfig(exe.low_pc, exe.high_pc, cycles_per_tick=7)
+        )
+        mon.enable_checkpoints(
+            tmp_path / f"{engine}.gmon",
+            3,
+            injector=FaultInjector(kill_after=11, arm_on_call=arm_on_call),
+        )
+        cpu = make_cpu(exe, mon, engine=engine)
+        with pytest.raises(InjectedFault):
+            cpu.run()
+        states[engine] = (
+            machine_state(cpu),
+            list(mon.histogram.counts),
+            mon.checkpoints_written,
+            cpu._next_tick,
+        )
+    assert states["fast"] == states["reference"]
+    assert states["fast"][2] == arm_on_call - 1
+
+
+@pytest.mark.parametrize("max_instructions", [150, None])
+@pytest.mark.parametrize("name", ["fib", "dispatch", "compute_heavy"])
+def test_checkpoints_identical(name, max_instructions, tmp_path):
+    """Periodic flushes: same count and same file bytes on both
+    engines, at a mid-run stop and at the end of the run."""
+    results = {}
+    for engine in ENGINES:
+        path = tmp_path / f"{engine}.gmon"
+        exe = assemble(PROGRAMS[name](), profile=True)
+        mon = Monitor(
+            MonitorConfig(exe.low_pc, exe.high_pc, cycles_per_tick=7)
+        )
+        mon.enable_checkpoints(path, 3)
+        cpu = make_cpu(exe, mon, engine=engine)
+        cpu.run(max_instructions=max_instructions)
+        results[engine] = (
+            machine_state(cpu),
+            mon.checkpoints_written,
+            path.read_bytes(),
+        )
+    assert results["fast"] == results["reference"]
+    assert results["fast"][1] > 0
+    assert results["fast"][0]["halted"] is (max_instructions is None)
 
 
 # --------------------------------------------------------------------------

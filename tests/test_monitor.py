@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import MachineError
 from repro.machine import CPU, Monitor, MonitorConfig, assemble
 
 
@@ -128,3 +129,25 @@ class TestDroppedTicks:
         CPU(exe, mon).run()
         assert mon.ticks_dropped > 0
         assert mon.histogram.total_ticks == 0
+
+
+class TestConfigValidation:
+    """A profile needs a clock: no tick interval or flush cadence below
+    what the CPU can honour is accepted."""
+
+    @pytest.mark.parametrize("ticks", [0, -3])
+    def test_cycles_per_tick_must_be_positive(self, ticks):
+        with pytest.raises(MachineError, match="cycles per tick"):
+            MonitorConfig(0, 64, cycles_per_tick=ticks)
+
+    def test_checkpoint_interval_must_not_be_negative(self):
+        with pytest.raises(MachineError, match="checkpoint interval"):
+            MonitorConfig(0, 64, checkpoint_interval=-1)
+
+    def test_zero_checkpoint_interval_still_disables_flushing(self, tmp_path):
+        config = MonitorConfig(
+            0, 64, checkpoint_path=str(tmp_path / "x"), checkpoint_interval=0
+        )
+        mon = Monitor(config)
+        mon.tick(0)
+        assert mon.checkpoints_written == 0

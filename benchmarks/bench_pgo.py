@@ -101,7 +101,7 @@ def run_pgo_suite(quick: bool) -> tuple[dict, bool]:
                          cycles_per_tick=CYCLES_PER_TICK)
         rerun = run_pgo(source, name=name, rounds=rounds,
                         cycles_per_tick=CYCLES_PER_TICK)
-        deterministic = result.asm == rerun.asm
+        deterministic = str(result.asm) == str(rerun.asm)
         identical = (
             result.identical
             and out_o2 == out_o0

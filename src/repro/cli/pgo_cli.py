@@ -183,7 +183,7 @@ def main(argv: list[str] | None = None) -> int:
             _report_text(result)
         if opts.asm:
             with open(opts.asm, "w", encoding="utf-8") as f:
-                f.write(result.asm)
+                f.write(str(result.asm))
             if not opts.json:
                 print(f"optimized assembly -> {opts.asm}")
         if opts.out:

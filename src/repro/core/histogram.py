@@ -54,7 +54,7 @@ class Histogram:
             raise HistogramError(f"profrate must be positive, got {self.profrate}")
         if self.high_pc > self.low_pc and not self.counts:
             raise HistogramError("non-empty address range but zero buckets")
-        if any(c < 0 for c in self.counts):
+        if min(self.counts, default=0) < 0:
             raise HistogramError("negative bucket count")
 
     # -- geometry -------------------------------------------------------------

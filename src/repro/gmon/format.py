@@ -89,8 +89,10 @@ def write_gmon(
     """Condense ``data`` to a binary file at ``path``.
 
     Arc records are merged per (from_pc, self_pc) pair and sorted, so the
-    output is deterministic for identical data.  Counts larger than the
-    32-bit on-disk field raise :class:`GmonFormatError` rather than wrap.
+    output is deterministic for identical data.  A value its unsigned
+    on-disk field cannot hold — negative, or past 32 bits for a count,
+    ``runs`` or ``profrate``, past 64 for an address — raises
+    :class:`GmonFormatError` naming the field, and nothing is written.
 
     Arguments:
         atomic: write to a temp file and rename (the default) so a crash
@@ -120,27 +122,51 @@ def dumps_gmon(data: ProfileData) -> bytes:
 
 def _write_stream(data: ProfileData, f: BinaryIO) -> None:
     hist = data.histogram
+    counts = hist.counts
     comment = data.comment.encode("utf-8")
     if len(comment) > 0xFFFF:
         raise GmonFormatError("comment longer than 65535 bytes")
     f.write(MAGIC)
     f.write(_COMMENT_LEN.pack(len(comment)))
     f.write(comment)
-    f.write(
-        _HEADER.pack(
-            data.runs, hist.low_pc, hist.high_pc, len(hist.counts), hist.profrate
+    # ``struct`` range-checks every field in C; only a failed pack pays
+    # for finding the field to name.
+    try:
+        f.write(
+            _HEADER.pack(
+                data.runs, hist.low_pc, hist.high_pc, len(counts), hist.profrate
+            )
         )
-    )
-    for count in hist.counts:
-        if count > MAX_COUNT:
-            raise GmonFormatError(f"histogram count {count} exceeds 32 bits")
-        f.write(_BUCKET.pack(count))
+    except struct.error:
+        _unsigned("runs", data.runs, 32)
+        _unsigned("low_pc", hist.low_pc, 64)
+        _unsigned("high_pc", hist.high_pc, 64)
+        _unsigned("profrate", hist.profrate, 32)
+        raise
+    try:
+        f.write(struct.pack(f"<{len(counts)}I", *counts))
+    except struct.error:
+        for count in counts:
+            _unsigned("histogram count", count, 32)
+        raise
     arcs = data.condensed_arcs()
     f.write(_NARCS.pack(len(arcs)))
     for arc in arcs:
-        if arc.count > MAX_COUNT:
-            raise GmonFormatError(f"arc count {arc.count} exceeds 32 bits")
-        f.write(_ARC.pack(arc.from_pc, arc.self_pc, arc.count))
+        try:
+            f.write(_ARC.pack(arc.from_pc, arc.self_pc, arc.count))
+        except struct.error:
+            _unsigned("arc from_pc", arc.from_pc, 64)
+            _unsigned("arc self_pc", arc.self_pc, 64)
+            _unsigned("arc count", arc.count, 32)
+            raise
+
+
+def _unsigned(what: str, value: int, bits: int) -> None:
+    """Reject a value its unsigned on-disk field cannot hold, naming it."""
+    if value < 0:
+        raise GmonFormatError(f"{what} {value} is negative")
+    if value >= 1 << bits:
+        raise GmonFormatError(f"{what} {value} exceeds {bits} bits")
 
 
 # -- strict reading -------------------------------------------------------------

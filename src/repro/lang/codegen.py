@@ -1,11 +1,14 @@
-"""Code generation: Rel AST → VM assembly text.
+"""Code generation: Rel AST → VM assembly listing.
 
 A tree-walking generator with the classic stack discipline: every
 expression leaves exactly one value on the operand stack; every
-statement leaves the stack balanced.  The output is ordinary assembly
-for :mod:`repro.machine.assembler`, so the profiling option (MCOUNT
-prologues) and block counting arrive there, not here — the compiler
-"requires no planning on part of a programmer".
+statement leaves the stack balanced.  The output is an
+:class:`~repro.machine.assembler.Asm` listing — per routine, label
+names and ``(Op, operand)`` items — handed to
+:mod:`repro.machine.assembler` as is, never printed and parsed again;
+``str()`` of it is the assembly text.  The profiling option (MCOUNT
+prologues) and block counting arrive in the assembler, not here — the
+compiler "requires no planning on part of a programmer".
 
 Name resolution is C-flavoured:
 
@@ -34,11 +37,22 @@ from dataclasses import dataclass, field
 
 from repro.errors import LangError
 from repro.lang import ast
+from repro.machine.assembler import Asm, Routine
+from repro.machine.isa import Op
+
+# Opcodes as module constants: a global name read is an order of
+# magnitude cheaper than an ``Op.X`` attribute read, once per emitted
+# instruction.
+ADD, CALL, EQ, GLOAD, GLOADI = Op.ADD, Op.CALL, Op.EQ, Op.GLOAD, Op.GLOADI
+GSTORE, GSTOREI, JMP, JNZ, JZ = Op.GSTORE, Op.GSTOREI, Op.JMP, Op.JNZ, Op.JZ
+LOAD, NEG, NOP, OUT, POP = Op.LOAD, Op.NEG, Op.NOP, Op.OUT, Op.POP
+PUSH, RET, STORE, WORK = Op.PUSH, Op.RET, Op.STORE, Op.WORK
 
 #: Arithmetic and comparison opcodes by source operator.
 _BINOPS = {
-    "+": "ADD", "-": "SUB", "*": "MUL", "/": "DIV", "%": "MOD",
-    "==": "EQ", "!=": "NE", "<": "LT", "<=": "LE", ">": "GT", ">=": "GE",
+    "+": Op.ADD, "-": Op.SUB, "*": Op.MUL, "/": Op.DIV, "%": Op.MOD,
+    "==": Op.EQ, "!=": Op.NE, "<": Op.LT, "<=": Op.LE, ">": Op.GT,
+    ">=": Op.GE,
 }
 
 
@@ -144,41 +158,51 @@ def _terminates(stmts) -> bool:
     return False
 
 
-def generate(program: ast.Program) -> str:
-    """The whole program's assembly text."""
+def generate(program: ast.Program) -> Asm:
+    """The whole program's assembly listing."""
     asm, _ = _generate(program, mapped=False)
     return asm
 
 
-def generate_mapped(program: ast.Program) -> tuple[str, SourceMap]:
-    """Assembly text plus the :class:`SourceMap` for feedback mapping.
+def generate_mapped(program: ast.Program) -> tuple[Asm, SourceMap]:
+    """The assembly listing plus the :class:`SourceMap` for feedback
+    mapping.
 
-    The assembly is byte-identical to :func:`generate`'s — the map is
-    recorded on the side, never woven into the output.
+    The listing equals :func:`generate`'s — the map is recorded on the
+    side, never woven into the output.
     """
     asm, smap = _generate(program, mapped=True)
     return asm, smap
 
 
-def _generate(program: ast.Program, mapped: bool) -> tuple[str, SourceMap]:
+def _generate(program: ast.Program, mapped: bool) -> tuple[Asm, SourceMap]:
     layout = Layout(program)
     smap = SourceMap()
-    parts = []
-    if layout.num_globals:
-        parts.append(f".globals {layout.num_globals}")
+    asm = Asm(layout.num_globals)
+    # Equal items share one tuple.  Callers keep the listing alive
+    # beside later work, and a few thousand distinct tuples cost every
+    # garbage collection pass far less than one per instruction.
+    items: dict[tuple, tuple] = {}
     for fn in program.functions:
-        gen = _FunctionCodegen(layout, fn, record=mapped)
-        parts.append(gen.generate())
+        gen = _FunctionCodegen(layout, fn, items, record=mapped)
+        asm.routines.append(gen.generate())
         if mapped:
             smap.functions[fn.name] = gen.map
-    return "\n".join(parts) + "\n", smap
+    return asm, smap
 
 
 class _FunctionCodegen:
-    def __init__(self, layout: Layout, fn: ast.Function, record: bool = False):
+    def __init__(
+        self,
+        layout: Layout,
+        fn: ast.Function,
+        items: dict[tuple, tuple],
+        record: bool = False,
+    ):
         self.layout = layout
         self.fn = fn
-        self.lines: list[str] = []
+        self.body: list = []  # label names and (Op, operand) items
+        self.items = items  # each distinct item, by itself
         self.slots: dict[str, int] = {}
         self.labels = 0
         self.count = 0  # instructions emitted so far (local index)
@@ -197,12 +221,13 @@ class _FunctionCodegen:
 
     # -- helpers -------------------------------------------------------------------
 
-    def emit(self, text: str) -> None:
-        self.lines.append("    " + text)
+    def emit(self, op: Op, operand: int | str | None = None) -> None:
+        item = (op, operand)
+        self.body.append(self.items.setdefault(item, item))
         self.count += 1
 
     def emit_label(self, label: str) -> None:
-        self.lines.append(f"{label}:")
+        self.body.append(label)
 
     def new_label(self, hint: str) -> str:
         self.labels += 1
@@ -236,24 +261,22 @@ class _FunctionCodegen:
 
     # -- entry point ----------------------------------------------------------------
 
-    def generate(self) -> str:
-        self.lines.append(f".func {self.fn.name}")
+    def generate(self) -> Routine:
         # prologue: pop arguments into their slots (last argument is on
         # top of the stack)
         for i in reversed(range(len(self.fn.params))):
-            self.emit(f"STORE {i}")
+            self.emit(STORE, i)
         for stmt in self.fn.body:
             self.statement(stmt)
         if not _terminates(self.fn.body):
             # implicit 'return 0' for the control paths that can fall
             # off the end; a body every path returns from gets no
             # unreachable epilogue (the checker's GP101 would flag it)
-            self.emit("PUSH 0")
-            self.emit("RET")
-        self.lines.append(".end")
+            self.emit(PUSH, 0)
+            self.emit(RET)
         if self.map is not None:
             self.map.size = self.count
-        return "\n".join(self.lines)
+        return Routine(self.fn.name, body=self.body)
 
     # -- statements --------------------------------------------------------------------
 
@@ -261,9 +284,9 @@ class _FunctionCodegen:
         if isinstance(stmt, ast.Assign):
             self.expression(stmt.value)
             if stmt.name in self.slots:
-                self.emit(f"STORE {self.slots[stmt.name]}")
+                self.emit(STORE, self.slots[stmt.name])
             elif stmt.name in self.layout.scalar_slot:
-                self.emit(f"GSTORE {self.layout.scalar_slot[stmt.name]}")
+                self.emit(GSTORE, self.layout.scalar_slot[stmt.name])
             else:  # pragma: no cover - _collect_locals guarantees a slot
                 raise LangError(f"cannot assign {stmt.name!r}", stmt.line)
         elif isinstance(stmt, ast.AssignIndex):
@@ -271,9 +294,9 @@ class _FunctionCodegen:
             self.expression(stmt.value)
             self.expression(stmt.index)
             if base:
-                self.emit(f"PUSH {base}")
-                self.emit("ADD")
-            self.emit("GSTOREI")
+                self.emit(PUSH, base)
+                self.emit(ADD)
+            self.emit(GSTOREI)
         elif isinstance(stmt, ast.If):
             self._gen_if(stmt)
         elif isinstance(stmt, ast.While):
@@ -282,18 +305,18 @@ class _FunctionCodegen:
             if stmt.value is not None:
                 self.expression(stmt.value)
             else:
-                self.emit("PUSH 0")
-            self.emit("RET")
+                self.emit(PUSH, 0)
+            self.emit(RET)
         elif isinstance(stmt, ast.Print):
             self.expression(stmt.value)
-            self.emit("OUT")
+            self.emit(OUT)
         elif isinstance(stmt, ast.Burn):
             if stmt.cycles < 0:
                 raise LangError("burn needs a non-negative count", stmt.line)
-            self.emit(f"WORK {stmt.cycles}")
+            self.emit(WORK, stmt.cycles)
         elif isinstance(stmt, ast.ExprStmt):
             self.expression(stmt.value)
-            self.emit("POP")
+            self.emit(POP)
         else:  # pragma: no cover - exhaustive
             raise LangError(f"unknown statement {stmt!r}")
 
@@ -307,14 +330,14 @@ class _FunctionCodegen:
             end = self.new_label("endif")
             c0 = self.count
             self.expression(stmt.cond)
-            self.emit(f"JNZ {then_label}")
+            self.emit(JNZ, then_label)
             c1 = self.count
             e0 = self.count
             for s in stmt.otherwise:
                 self.statement(s)
             join = not _terminates(stmt.otherwise)
             if join:
-                self.emit(f"JMP {end}")
+                self.emit(JMP, end)
             e1 = self.count
             self.emit_label(then_label)
             t0 = self.count
@@ -329,7 +352,7 @@ class _FunctionCodegen:
         end = self.new_label("endif")
         c0 = self.count
         self.expression(stmt.cond)
-        self.emit(f"JZ {otherwise if stmt.otherwise else end}")
+        self.emit(JZ, otherwise if stmt.otherwise else end)
         c1 = self.count
         t0 = self.count
         for s in stmt.then:
@@ -338,7 +361,7 @@ class _FunctionCodegen:
         end_used = not stmt.otherwise
         if stmt.otherwise:
             if not _terminates(stmt.then):
-                self.emit(f"JMP {end}")
+                self.emit(JMP, end)
                 end_used = True
             t1 = self.count
             self.emit_label(otherwise)
@@ -360,7 +383,7 @@ class _FunctionCodegen:
             # count; saves ~(iterations − 1) JMP executions per entry.
             test = self.new_label("looptest")
             body_label = self.new_label("loopbody")
-            self.emit(f"JMP {test}")
+            self.emit(JMP, test)
             self.emit_label(body_label)
             b0 = self.count
             for s in stmt.body:
@@ -369,7 +392,7 @@ class _FunctionCodegen:
             self.emit_label(test)
             c0 = self.count
             self.expression(stmt.cond)
-            self.emit(f"JNZ {body_label}")
+            self.emit(JNZ, body_label)
             c1 = self.count
             self._record_branch(stmt, "while", (c0, c1), (b0, b1), (b1, b1))
             return
@@ -378,13 +401,13 @@ class _FunctionCodegen:
         self.emit_label(loop)
         c0 = self.count
         self.expression(stmt.cond)
-        self.emit(f"JZ {end}")
+        self.emit(JZ, end)
         c1 = self.count
         b0 = self.count
         for s in stmt.body:
             self.statement(s)
         if not _terminates(stmt.body):
-            self.emit(f"JMP {loop}")
+            self.emit(JMP, loop)
         b1 = self.count
         self.emit_label(end)
         self._record_branch(stmt, "while", (c0, c1), (b0, b1), (b1, b1))
@@ -393,23 +416,23 @@ class _FunctionCodegen:
 
     def expression(self, expr: ast.Expr) -> None:
         if isinstance(expr, ast.Num):
-            self.emit(f"PUSH {expr.value}")
+            self.emit(PUSH, expr.value)
         elif isinstance(expr, ast.Var):
             self._load_name(expr.name, expr.line)
         elif isinstance(expr, ast.Index):
             base = self._array_base(expr.array, expr.line)
             self.expression(expr.index)
             if base:
-                self.emit(f"PUSH {base}")
-                self.emit("ADD")
-            self.emit("GLOADI")
+                self.emit(PUSH, base)
+                self.emit(ADD)
+            self.emit(GLOADI)
         elif isinstance(expr, ast.Unary):
             self.expression(expr.operand)
             if expr.op == "-":
-                self.emit("NEG")
+                self.emit(NEG)
             else:  # '!'
-                self.emit("PUSH 0")
-                self.emit("EQ")
+                self.emit(PUSH, 0)
+                self.emit(EQ)
         elif isinstance(expr, ast.Binary):
             if expr.op in ("&&", "||"):
                 self._short_circuit(expr)
@@ -431,7 +454,7 @@ class _FunctionCodegen:
                 self.expression(arg)
             if self.map is not None:
                 self.map.sites.append(CallSite(expr.name, self.count))
-            self.emit(f"CALL {expr.name}")
+            self.emit(CALL, expr.name)
         else:  # pragma: no cover - exhaustive
             raise LangError(f"unknown expression {expr!r}")
 
@@ -440,31 +463,31 @@ class _FunctionCodegen:
         if expr.op == "&&":
             out = self.new_label("false")
             self.expression(expr.left)
-            self.emit(f"JZ {out}")
+            self.emit(JZ, out)
             self.expression(expr.right)
-            self.emit(f"JZ {out}")
-            self.emit("PUSH 1")
-            self.emit(f"JMP {end}")
+            self.emit(JZ, out)
+            self.emit(PUSH, 1)
+            self.emit(JMP, end)
             self.emit_label(out)
-            self.emit("PUSH 0")
+            self.emit(PUSH, 0)
         else:  # '||'
             out = self.new_label("true")
             self.expression(expr.left)
-            self.emit(f"JNZ {out}")
+            self.emit(JNZ, out)
             self.expression(expr.right)
-            self.emit(f"JNZ {out}")
-            self.emit("PUSH 0")
-            self.emit(f"JMP {end}")
+            self.emit(JNZ, out)
+            self.emit(PUSH, 0)
+            self.emit(JMP, end)
             self.emit_label(out)
-            self.emit("PUSH 1")
+            self.emit(PUSH, 1)
         self.emit_label(end)
-        self.emit("NOP")  # anchor: labels always precede an instruction
+        self.emit(NOP)  # anchor: labels always precede an instruction
 
     def _load_name(self, name: str, line: int) -> None:
         if name in self.slots:
-            self.emit(f"LOAD {self.slots[name]}")
+            self.emit(LOAD, self.slots[name])
         elif name in self.layout.scalar_slot:
-            self.emit(f"GLOAD {self.layout.scalar_slot[name]}")
+            self.emit(GLOAD, self.layout.scalar_slot[name])
         elif name in self.layout.array_base:
             raise LangError(f"{name!r} is an array; index it", line)
         else:

@@ -1,4 +1,4 @@
-"""The Rel compiler driver: source text → assembly → executable.
+"""The Rel compiler driver: source text → assembly listing → executable.
 
 ``compile_source(text, profile=True)`` is the reproduction's
 ``cc -pg``: the profiling instrumentation is a compilation option, not
@@ -15,7 +15,7 @@ from __future__ import annotations
 from repro.lang.codegen import generate
 from repro.lang.optimize import optimize
 from repro.lang.parser import parse
-from repro.machine.assembler import assemble
+from repro.machine.assembler import Asm, assemble
 from repro.machine.executable import Executable
 
 
@@ -49,8 +49,12 @@ def _coerce_feedback(profile, program, name: str):
 
 def compile_to_asm(
     source: str, optimize_level: int = 0, feedback=None, name: str = "a.out"
-) -> str:
-    """Compile Rel source to VM assembly text (inspectable).
+) -> Asm:
+    """Compile Rel source to a VM assembly listing (inspectable).
+
+    The :class:`~repro.machine.assembler.Asm` goes to
+    :func:`~repro.machine.assembler.assemble` as is; ``str()`` of it is
+    the assembly text, which assembles to the same image.
 
     ``optimize_level``: 0 = none; 1 = constant folding, branch pruning,
     dead-code removal; 2 = level 1 plus §6 inline expansion of trivial

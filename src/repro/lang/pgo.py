@@ -34,6 +34,7 @@ from repro.lang.feedback import ProfileFeedback
 from repro.lang.parser import parse
 from repro.lang.passes import build_pipeline, merge_counters, run_passes
 from repro.machine import Monitor, MonitorConfig, assemble, make_cpu
+from repro.machine.assembler import Asm
 
 
 @dataclass
@@ -65,7 +66,7 @@ class PGOResult:
     level: int
     rounds: list[PGORound]
     program: ast.Program
-    asm: str
+    asm: Asm
     cycles_baseline: int
     cycles_final: int
     output: list[int]

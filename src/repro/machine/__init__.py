@@ -10,7 +10,7 @@ High-level helpers:
 from __future__ import annotations
 
 from repro.core.profiledata import ProfileData
-from repro.machine.assembler import assemble
+from repro.machine.assembler import Asm, assemble
 from repro.machine.blockcounts import BlockCount, block_counts, format_block_counts
 from repro.machine.cpu import CPU, Frame, InterruptSource
 from repro.machine.crawl import static_arcs, static_call_graph
@@ -32,6 +32,7 @@ __all__ = [
     "ArcBuffer",
     "ArcTable",
     "ArcTableStats",
+    "Asm",
     "BlockCount",
     "CPU",
     "CPUShard",
@@ -64,7 +65,7 @@ __all__ = [
 
 
 def run_profiled(
-    source: str,
+    source: Asm | str,
     name: str = "a.out",
     cycles_per_tick: int = 100,
     scale: float = 1.0,
@@ -97,7 +98,7 @@ def run_profiled(
 
 
 def run_unprofiled(
-    source: str,
+    source: Asm | str,
     name: str = "a.out",
     max_instructions: int | None = None,
     engine: str = "fast",

@@ -1,4 +1,21 @@
-"""A two-pass assembler for the VM.
+"""The VM assembler: two producers, one core.
+
+A program reaches the assembler as an :class:`Asm` listing: the global
+segment size and, per routine, its name, its ``noprofile`` flag and an
+ordered body of label names and ``(Op, operand)`` items.  Two producers
+build that value:
+
+* the Rel code generator (:mod:`repro.lang.codegen`) builds it
+  directly, so compiling never prints text only to parse it again;
+* :func:`parse_asm` builds it from assembly text — the hand-written
+  programs, ``.s`` files and the kernel image — and keeps each item's
+  line number for error messages.
+
+One core then lays the listing out (planting prologues and block
+counters, placing labels), resolves operands and shares equal
+instructions, whichever producer built it.  ``str(asm)`` renders the
+listing as text in the syntax below; parsing that text gives back an
+equal :class:`Asm`.
 
 Source syntax, line oriented::
 
@@ -21,6 +38,10 @@ Source syntax, line oriented::
         RET
     .end
 
+In an :class:`Asm` body the operand of an address op (``JMP``, ``JZ``,
+``JNZ``, ``CALL``) is a label or function name, ``&fib`` is
+``AddressOf("fib")``, and every other operand is an ``int``.
+
 Assembling with ``profile=True`` plants an ``MCOUNT`` instruction at the
 top of every routine not marked ``noprofile`` — the moral equivalent of
 compiling with the profiling option, where "our compilers ... insert
@@ -30,6 +51,8 @@ promises.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, field
 
 from repro.errors import AssemblerError
 from repro.machine.executable import Executable, Function
@@ -41,18 +64,68 @@ from repro.machine.isa import (
     OPERAND_OPS,
 )
 
-#: Mnemonic → ``(op, takes_operand, is_address)``: one dict probe per
-#: source line instead of an ``Op(...)`` lookup and two set tests.
-_MNEMONICS = {
-    op.value: (op, op in OPERAND_OPS, op in ADDRESS_OPS) for op in Op
-}
 
-#: Mnemonics only the assembler may emit.
-_PLANTED = frozenset({Op.MCOUNT.value, Op.COUNT.value})
+@dataclass(frozen=True)
+class AddressOf:
+    """``&name``: a function's entry address, as a ``PUSH`` operand."""
+
+    name: str
+
+    def __str__(self) -> str:
+        return f"&{self.name}"
+
+
+@dataclass
+class Routine:
+    """One routine of an :class:`Asm` listing.
+
+    Attributes:
+        name: the routine's symbol name.
+        noprofile: never plant a monitoring prologue here.
+        body: label names (``str``) and ``(Op, operand)`` items, in
+            order.  A label marks the address of the next instruction.
+        line: source line of ``.func`` (text input only).
+        lines: source line of each body entry (text input only).
+    """
+
+    name: str
+    noprofile: bool = False
+    body: list = field(default_factory=list)
+    line: int | None = field(default=None, compare=False, repr=False)
+    lines: list[int] | None = field(default=None, compare=False, repr=False)
+
+
+@dataclass
+class Asm:
+    """An assembly listing: what the compiler emits, before layout."""
+
+    num_globals: int = 0
+    routines: list[Routine] = field(default_factory=list)
+
+    def __str__(self) -> str:
+        out = [f".globals {self.num_globals}"] if self.num_globals else []
+        for routine in self.routines:
+            out.append(
+                f".func {routine.name} noprofile"
+                if routine.noprofile
+                else f".func {routine.name}"
+            )
+            for item in routine.body:
+                if item.__class__ is str:
+                    out.append(f"{item}:")
+                else:
+                    op, operand = item
+                    out.append(
+                        f"    {op.value}"
+                        if operand is None
+                        else f"    {op.value} {operand}"
+                    )
+            out.append(".end")
+        return "\n".join(out) + "\n"
 
 
 def assemble(
-    source: str,
+    source: Asm | str,
     name: str = "a.out",
     profile: bool = False,
     count_blocks: bool = False,
@@ -60,7 +133,8 @@ def assemble(
     """Assemble ``source`` into an :class:`Executable`.
 
     Arguments:
-        source: assembly text in the syntax described above.
+        source: an :class:`Asm` listing, or assembly text in the syntax
+            described above.
         name: program name recorded in the image.
         profile: plant monitoring prologues (``MCOUNT``) in every
             routine not marked ``noprofile``.
@@ -69,219 +143,248 @@ def assemble(
             counters ("inline increments to counters [Knuth71]"),
             the alternative to calling a monitoring routine.
 
-    Raises :class:`~repro.errors.AssemblerError` with a line number on
-    any syntax or reference error.
+    Raises :class:`~repro.errors.AssemblerError` on any syntax or
+    reference error, with a line number when ``source`` is text.
     """
-    return _Assembler(source, name, profile, count_blocks).assemble()
+    if isinstance(source, str):
+        source = parse_asm(source)
+    return _layout(source, name, profile, count_blocks)
 
 
-class _Assembler:
-    """Two passes: collect layout and labels, then resolve operands."""
+# -- the text front end ---------------------------------------------------------
 
-    def __init__(
-        self, source: str, name: str, profile: bool, count_blocks: bool = False
-    ):
-        self.source = source
-        self.name = name
-        self.profile = profile
-        self.count_blocks = count_blocks
-        self.counter_names: list[str] = []
-        self._entry_count_pending = False
-        # (line, op, raw operand, operand is a code address)
-        self.items: list[tuple[int, Op, str | int | None, bool]] = []
-        self.functions: list[Function] = []
-        self.function_names: set[str] = set()
-        self.labels: dict[str, int] = {}  # resolved label → address
-        self.num_globals = 0
+#: Mnemonic → opcode.
+_MNEMONICS = {op.value: op for op in Op}
 
-    def assemble(self) -> Executable:
-        self._first_pass()
-        instructions = self._second_pass()
-        entry = self.labels.get("main", 0)
-        return Executable(
-            name=self.name,
-            instructions=instructions,
-            functions=self.functions,
-            num_globals=self.num_globals,
-            entry_point=entry,
-            counter_names=self.counter_names,
-        )
 
-    # -- pass 1: layout ---------------------------------------------------------
+def parse_asm(text: str) -> Asm:
+    """Parse assembly text into an :class:`Asm` listing.
 
-    def _first_pass(self) -> None:
-        current_func: str | None = None
-        func_profiled = False
-        func_start = 0
-        pending_labels: list[tuple[int, str]] = []
-        addr = 0
-
-        def place_labels() -> None:
-            for lineno, label in pending_labels:
-                key = self._label_key(current_func, label)
-                if key in self.labels:
-                    raise AssemblerError(f"duplicate label {label!r}", lineno)
-                self.labels[key] = addr
-            pending_labels.clear()
-
-        for lineno, raw in enumerate(self.source.splitlines(), start=1):
-            line = raw.partition(";")[0].strip()
-            if not line:
+    Checks the syntax only: directives, label names and mnemonics.
+    Operands stay unchecked for :func:`assemble` to judge, as it does
+    for a listing built in memory.  A non-address operand that
+    ``int(text, 0)`` accepts becomes an ``int``; any other stays a
+    string, which assembling rejects.
+    """
+    asm = Asm()
+    routine: Routine | None = None
+    # Labels written between routines belong to the next routine.
+    loose: list[tuple[str, int]] = []
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.partition(";")[0].strip()
+        if not line:
+            continue
+        if line[0] == ".":
+            if line.startswith(".globals"):
+                parts = line.split()
+                if len(parts) != 2 or not parts[1].isdecimal():
+                    raise AssemblerError(".globals takes one integer", lineno)
+                asm.num_globals = int(parts[1])
                 continue
-            if line[0] == ".":
-                if line.startswith(".globals"):
-                    parts = line.split()
-                    if len(parts) != 2 or not parts[1].isdecimal():
-                        raise AssemblerError(
-                            ".globals takes one integer", lineno
-                        )
-                    self.num_globals = int(parts[1])
-                    continue
-                if line.startswith(".func"):
-                    if current_func is not None:
-                        raise AssemblerError(
-                            f"nested .func (still inside {current_func!r})",
-                            lineno,
-                        )
-                    parts = line.split()
-                    if len(parts) < 2:
-                        raise AssemblerError(".func needs a name", lineno)
-                    current_func = parts[1]
-                    func_profiled = (
-                        self.profile and "noprofile" not in parts[2:]
+            if line.startswith(".func"):
+                if routine is not None:
+                    raise AssemblerError(
+                        f"nested .func (still inside {routine.name!r})",
+                        lineno,
                     )
-                    if current_func in self.labels:
-                        raise AssemblerError(
-                            f"duplicate function {current_func!r}", lineno
-                        )
-                    self.labels[current_func] = addr
-                    func_start = addr
-                    if func_profiled:
-                        self.items.append((lineno, Op.MCOUNT, None, False))
-                        addr += INSTRUCTION_SIZE
-                    self._entry_count_pending = self.count_blocks
-                    continue
-                if line == ".end":
-                    if current_func is None:
-                        raise AssemblerError(".end outside .func", lineno)
-                    place_labels()
-                    self.functions.append(
-                        Function(current_func, func_start, addr, func_profiled)
-                    )
-                    self.function_names.add(current_func)
-                    current_func = None
-                    continue
-            if line.endswith(":"):
-                label = line[:-1].strip()
-                if not label.isidentifier():
-                    raise AssemblerError(f"bad label {label!r}", lineno)
-                pending_labels.append((lineno, label))
-                continue
-            if current_func is None:
-                raise AssemblerError("instruction outside .func", lineno)
-            item = self._parse_instruction(line, lineno)
-            block_label = None
-            if pending_labels:
-                block_label = pending_labels[-1][1]
-                place_labels()
-            if self.count_blocks and (self._entry_count_pending or block_label):
-                # A basic block starts here (routine entry or a branch
-                # target): plant the inline counter increment.
-                counter = len(self.counter_names)
-                self.counter_names.append(
-                    f"{current_func}.{block_label or 'entry'}"
+                parts = line.split()
+                if len(parts) < 2:
+                    raise AssemblerError(".func needs a name", lineno)
+                routine = Routine(
+                    parts[1],
+                    "noprofile" in parts[2:],
+                    [label for label, _ in loose],
+                    line=lineno,
+                    lines=[at for _, at in loose],
                 )
-                self.items.append((lineno, Op.COUNT, counter, False))
-                addr += INSTRUCTION_SIZE
-                self._entry_count_pending = False
-            self.items.append(item)
-            addr += INSTRUCTION_SIZE
-        if current_func is not None:
-            raise AssemblerError(f"unterminated .func {current_func!r}", len(
-                self.source.splitlines()
-            ))
-        if pending_labels:
-            raise AssemblerError(
-                f"label {pending_labels[0][1]!r} at end of input",
-                pending_labels[0][0],
-            )
-
-    def _parse_instruction(self, line: str, lineno: int):
-        """One instruction line → its ``items`` entry."""
+                loose.clear()
+                asm.routines.append(routine)
+                continue
+            if line == ".end":
+                if routine is None:
+                    raise AssemblerError(".end outside .func", lineno)
+                routine = None
+                continue
+        if line.endswith(":"):
+            label = line[:-1].strip()
+            if not label.isidentifier():
+                raise AssemblerError(f"bad label {label!r}", lineno)
+            if routine is None:
+                loose.append((label, lineno))
+            else:
+                routine.body.append(label)
+                routine.lines.append(lineno)
+            continue
+        if routine is None:
+            raise AssemblerError("instruction outside .func", lineno)
         parts = line.split(None, 1)
-        mnemonic = parts[0].upper()
-        decoded = _MNEMONICS.get(mnemonic)
-        if decoded is None:
-            raise AssemblerError(f"unknown instruction {mnemonic!r}", lineno)
-        if mnemonic in _PLANTED:
+        op = _MNEMONICS.get(parts[0].upper())
+        if op is None:
             raise AssemblerError(
-                f"{mnemonic} is planted by the assembler, not written by hand",
-                lineno,
+                f"unknown instruction {parts[0].upper()!r}", lineno
             )
-        op, takes_operand, is_address = decoded
-        operand = parts[1].strip() if len(parts) > 1 else None
-        if takes_operand and operand is None:
-            raise AssemblerError(f"{mnemonic} needs an operand", lineno)
-        if not takes_operand and operand is not None:
-            raise AssemblerError(f"{mnemonic} takes no operand", lineno)
-        return lineno, op, operand, is_address
+        operand: str | int | AddressOf | None = None
+        if len(parts) > 1:
+            operand = parts[1].strip()
+            if operand.startswith("&"):
+                operand = AddressOf(operand[1:])
+            elif op not in ADDRESS_OPS:
+                try:
+                    operand = int(operand, 0)
+                except ValueError:
+                    pass
+        routine.body.append((op, operand))
+        routine.lines.append(lineno)
+    if routine is not None:
+        raise AssemblerError(f"unterminated .func {routine.name!r}", len(lines))
+    if loose:
+        raise AssemblerError(
+            f"label {loose[0][0]!r} at end of input", loose[0][1]
+        )
+    return asm
 
-    # -- pass 2: resolve ---------------------------------------------------------
 
-    def _second_pass(self) -> list[Instruction]:
-        instructions: list[Instruction] = []
-        # Instructions are frozen values, so equal ones share one
-        # object: a program repeats a few thousand distinct ones.
-        shared: dict[tuple[Op, int | None], Instruction] = {}
-        func_iter = iter(self.functions)
-        current = next(func_iter, None)
-        addr = 0
-        for lineno, op, operand, is_address in self.items:
-            while current is not None and addr >= current.end:
-                current = next(func_iter, None)
-            value: int | None = None
-            if isinstance(operand, int):
-                value = operand  # assembler-planted counter index
-            elif operand is not None:
-                value = self._resolve(
-                    op, operand, is_address,
-                    current.name if current else None, lineno,
-                )
-            ins = shared.get((op, value))
-            if ins is None:
-                ins = shared[op, value] = Instruction(op, value)
-            instructions.append(ins)
-            addr += INSTRUCTION_SIZE
-        return instructions
+# -- the core: layout, resolution, sharing ---------------------------------------
 
-    def _resolve(
-        self, op: Op, operand: str, is_address: bool, func: str | None,
-        lineno: int,
-    ) -> int:
-        if operand.startswith("&"):
-            # Address-of: the functional-parameter mechanism.
-            if op is not Op.PUSH:
-                raise AssemblerError("'&name' only valid with PUSH", lineno)
-            target = operand[1:]
-            if target not in self.function_names:
-                raise AssemblerError(f"unknown function {target!r}", lineno)
-            return self.labels[target]
-        if is_address:
-            # Try a local label first, then a function name.
-            local = self._label_key(func, operand)
-            if local in self.labels:
-                return self.labels[local]
-            if operand in self.function_names:
-                return self.labels[operand]
-            raise AssemblerError(f"unknown label {operand!r}", lineno)
-        try:
-            return int(operand, 0)
-        except ValueError:
-            raise AssemblerError(
-                f"{op.value} needs an integer operand, got {operand!r}", lineno
-            ) from None
+#: Opcode → the one operand class an item may carry on the fast path:
+#: ``int`` or ``NoneType``.  Address ops, the planted ops and anything
+#: that is not an ``Op`` are absent and take the checked path.
+_FAST_OPERAND = {
+    op: int if op in OPERAND_OPS else type(None)
+    for op in Op
+    if op not in ADDRESS_OPS and op not in (Op.MCOUNT, Op.COUNT)
+}
 
-    @staticmethod
-    def _label_key(func: str | None, label: str) -> str:
-        """Local labels are namespaced per function."""
-        return f"{func}.{label}" if func else label
+_MCOUNT = Instruction(Op.MCOUNT)
+
+
+def _layout(
+    asm: Asm, name: str, profile: bool, count_blocks: bool
+) -> Executable:
+    """Lay ``asm`` out, resolve its operands, return the image."""
+    instructions: list[Instruction | None] = []
+    append = instructions.append
+    functions: list[Function] = []
+    function_names: set[str] = set()
+    labels: dict[str, int] = {}  # label or function → address
+    counter_names: list[str] = []
+    # Instructions are frozen values, so equal ones share one object:
+    # a program repeats a few thousand distinct ones.  Keys are the
+    # ``(op, value)`` items themselves.
+    shared: dict[tuple[Op, int | None], Instruction] = {}
+    # Operands to resolve once every label is placed:
+    # (index, op, operand, routine, body position).
+    deferred: list[tuple] = []
+    fast_operand = _FAST_OPERAND
+    for routine in asm.routines:
+        func = routine.name
+        if func in labels:
+            raise AssemblerError(f"duplicate function {func!r}", routine.line)
+        start = len(instructions) * INSTRUCTION_SIZE
+        labels[func] = start
+        profiled = profile and not routine.noprofile
+        if profiled:
+            append(_MCOUNT)
+        # The name of the basic block starting at the next instruction,
+        # while one is due an inline counter.
+        block = "entry" if count_blocks else None
+        for k, item in enumerate(routine.body):
+            if item.__class__ is str:
+                key = f"{func}.{item}"  # local labels are per routine
+                if key in labels:
+                    raise _error(f"duplicate label {item!r}", routine, k)
+                labels[key] = len(instructions) * INSTRUCTION_SIZE
+                if count_blocks:
+                    block = item
+                continue
+            if block is not None:
+                counter_names.append(f"{func}.{block}")
+                append(Instruction(Op.COUNT, len(counter_names) - 1))
+                block = None
+            op, operand = item
+            if operand.__class__ is fast_operand.get(op):
+                ins = shared.get(item)
+                if ins is None:
+                    ins = shared[item] = Instruction(op, operand)
+                append(ins)
+                continue
+            _check(op, operand, routine, k)
+            deferred.append((len(instructions), op, operand, routine, k))
+            append(None)
+        functions.append(
+            Function(func, start, len(instructions) * INSTRUCTION_SIZE, profiled)
+        )
+        function_names.add(func)
+
+    for index, op, operand, routine, k in deferred:
+        value = _resolve(op, operand, routine, k, labels, function_names)
+        ins = shared.get((op, value))
+        if ins is None:
+            ins = shared[op, value] = Instruction(op, value)
+        instructions[index] = ins
+    return Executable(
+        name=name,
+        instructions=instructions,
+        functions=functions,
+        num_globals=asm.num_globals,
+        entry_point=labels.get("main", 0),
+        counter_names=counter_names,
+    )
+
+
+def _check(op, operand, routine: Routine, k: int) -> None:
+    """Reject an item whose opcode or operand presence is wrong.
+
+    The operand's value is judged later by :func:`_resolve`, once every
+    label is known.
+    """
+    if not isinstance(op, Op):
+        raise _error(f"unknown instruction {str(op)!r}", routine, k)
+    if op is Op.MCOUNT or op is Op.COUNT:
+        raise _error(
+            f"{op.value} is planted by the assembler, not written by hand",
+            routine, k,
+        )
+    if operand is None:
+        if op in OPERAND_OPS:
+            raise _error(f"{op.value} needs an operand", routine, k)
+    elif op not in OPERAND_OPS:
+        raise _error(f"{op.value} takes no operand", routine, k)
+
+
+def _resolve(
+    op: Op, operand, routine: Routine, k: int,
+    labels: dict[str, int], function_names: set[str],
+) -> int:
+    """The value of an operand the fast path could not take verbatim.
+
+    Messages quote a bad operand as text would spell it, so a listing
+    and its rendering fail alike.
+    """
+    if operand.__class__ is AddressOf:
+        # Address-of: the functional-parameter mechanism.
+        if op is not Op.PUSH:
+            raise _error("'&name' only valid with PUSH", routine, k)
+        if operand.name not in function_names:
+            raise _error(f"unknown function {operand.name!r}", routine, k)
+        return labels[operand.name]
+    if op in ADDRESS_OPS:
+        # Try a local label first, then a function name.
+        if operand.__class__ is str:
+            local = labels.get(f"{routine.name}.{operand}")
+            if local is not None:
+                return local
+            if operand in function_names:
+                return labels[operand]
+        raise _error(f"unknown label {str(operand)!r}", routine, k)
+    raise _error(
+        f"{op.value} needs an integer operand, got {str(operand)!r}",
+        routine, k,
+    )
+
+
+def _error(message: str, routine: Routine, k: int) -> AssemblerError:
+    """An error at body position ``k``, with its line if text gave one."""
+    line = routine.lines[k] if routine.lines is not None else None
+    return AssemblerError(message, line)

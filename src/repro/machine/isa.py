@@ -35,7 +35,17 @@ INSTRUCTION_SIZE = 4
 
 
 class Op(Enum):
-    """Opcodes of the VM."""
+    """Opcodes of the VM.
+
+    Members hash by identity.  They are singletons compared by
+    identity, and the inherited ``Enum.__hash__`` is a Python-level
+    call, paid on every dict or set probe (the assembler's sharing
+    table, the fast engine's predecode).  Set iteration order changes
+    between processes either way: the inherited hash hashes the name,
+    and str hashes are salted.
+    """
+
+    __hash__ = object.__hash__
 
     # stack
     PUSH = "PUSH"      # operand: constant → push

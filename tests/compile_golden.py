@@ -5,7 +5,8 @@ program (``REL_PROGRAMS`` at default size) and for one generated
 program of :data:`GENERATED_ROUTINES` routines, at optimisation levels
 0, 1 and 2:
 
-* the blake2b digest of ``compile_to_asm(src, optimize_level=L)``;
+* the blake2b digest of ``str(compile_to_asm(src, optimize_level=L))``,
+  the assembly text;
 * the blake2b digest of the assembled image — its ``(op, operand)``
   list, function table and ``entry_point`` — once plain and once with
   ``profile=True`` (monitoring prologues planted).
@@ -156,7 +157,7 @@ def compile_digests(source: str, level: int, name: str) -> dict[str, str]:
     """The corpus record of one program at one level."""
     asm = compile_to_asm(source, optimize_level=level)
     return {
-        "asm": digest(asm),
+        "asm": digest(str(asm)),
         "image": image_digest(assemble(asm, name=name)),
         "image_profiled": image_digest(assemble(asm, name=name, profile=True)),
     }

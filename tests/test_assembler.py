@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import AssemblerError
 from repro.machine import INSTRUCTION_SIZE, Op, assemble
+from repro.machine.assembler import AddressOf, Asm, Routine, parse_asm
 
 
 class TestLayout:
@@ -173,6 +174,87 @@ class TestErrors:
         )
         entry = exe.function_named("f").entry
         assert [i.operand for i in exe.instructions[:2]] == [entry, entry]
+
+
+class TestListing:
+    """An :class:`Asm` listing and its text are one program."""
+
+    TEXT = (
+        ".globals 2\n"
+        ".func main\n"
+        "    PUSH 1\n"
+        "    CALL f\n"
+        "    PUSH &f\n"
+        "l:\n"
+        "    JNZ l\n"
+        "    HALT\n"
+        ".end\n"
+        ".func f noprofile\n"
+        "    RET\n"
+        ".end\n"
+    )
+    LISTING = Asm(2, [
+        Routine("main", False, [
+            (Op.PUSH, 1), (Op.CALL, "f"), (Op.PUSH, AddressOf("f")), "l",
+            (Op.JNZ, "l"), (Op.HALT, None),
+        ]),
+        Routine("f", True, [(Op.RET, None)]),
+    ])
+
+    def test_text_parses_to_the_listing_and_renders_back(self):
+        assert parse_asm(self.TEXT) == self.LISTING
+        assert str(self.LISTING) == self.TEXT
+
+    @pytest.mark.parametrize(
+        "options", [{}, {"profile": True}, {"count_blocks": True}]
+    )
+    def test_listing_assembles_like_its_text(self, options):
+        assert assemble(self.LISTING, **options) == assemble(
+            self.TEXT, **options
+        )
+
+    def test_labels_between_routines_belong_to_the_next(self):
+        asm = parse_asm(".func f\n RET\n.end\nl:\n.func main\n JMP l\n.end\n")
+        assert asm.routines[1].body == ["l", (Op.JMP, "l")]
+
+
+def _main(*body):
+    return Asm(0, [Routine("main", False, list(body))])
+
+
+#: One case per check a listing gets: the listing, and the text that
+#: fails the same way.
+PARITY = {
+    "planted MCOUNT": (_main((Op.MCOUNT, None)), " MCOUNT"),
+    "planted COUNT": (_main((Op.COUNT, 0)), " COUNT 0"),
+    "missing operand": (_main((Op.PUSH, None)), " PUSH"),
+    "missing address operand": (_main((Op.JMP, None)), " JMP"),
+    "unexpected operand": (_main((Op.POP, 3)), " POP 3"),
+    "string operand": (_main((Op.PUSH, "abc")), " PUSH abc"),
+    "bool operand": (_main((Op.PUSH, 1), (Op.PUSH, True)), " PUSH 1\n PUSH True"),
+    "float operand": (_main((Op.WORK, 1.0)), " WORK 1.0"),
+    "unknown label": (_main((Op.JMP, "nowhere")), " JMP nowhere"),
+    "numeric label": (_main((Op.CALL, 12)), " CALL 12"),
+    "unknown function": (_main((Op.PUSH, AddressOf("ghost"))), " PUSH &ghost"),
+    "address-of outside PUSH": (_main((Op.LOAD, AddressOf("main"))), " LOAD &main"),
+    "duplicate label": (_main("l", "l", (Op.HALT, None)), "l:\nl:\n HALT"),
+    "duplicate function": (
+        Asm(0, [Routine("main", False, [(Op.HALT, None)]),
+                Routine("main", False, [(Op.RET, None)])]),
+        " HALT\n.end\n.func main\n RET",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARITY))
+def test_listing_checks_match_text_messages(case):
+    listing, body = PARITY[case]
+    with pytest.raises(AssemblerError) as text:
+        assemble(f".func main\n{body}\n.end\n")
+    with pytest.raises(AssemblerError) as direct:
+        assemble(listing)
+    assert direct.value.line is None
+    assert str(text.value) == f"line {text.value.line}: {direct.value}"
 
 
 class TestPersistence:

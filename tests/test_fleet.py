@@ -313,6 +313,22 @@ class TestMergeCli:
         assert merge_main(["-o", str(tmp_path / "s"), str(tmp_path)]) == 1
         assert "odd.out" in capsys.readouterr().err
 
+    def test_runs_past_32_bits_fails_without_output(self, tmp_path, capsys):
+        from repro.cli.merge_cli import main as merge_main
+
+        inputs = []
+        for name in ("a.out", "b.out"):
+            path = tmp_path / name
+            write_gmon(ProfileData(Histogram(0, 8, [1, 2]), [],
+                                   runs=0xFFFFFFFF), path)
+            inputs.append(str(path))
+        out = tmp_path / "gmon.sum"
+        assert merge_main(["-o", str(out), *inputs]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("repro-merge: runs ")
+        assert "exceeds 32 bits" in err
+        assert not out.exists()
+
     def test_salvage_flag_recovers_torn_file(self, tmp_path, capsys):
         from repro.cli.merge_cli import main as merge_main
 

@@ -1,5 +1,9 @@
 """Tests for the on-disk profile data format."""
 
+import random
+import struct
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,8 +12,8 @@ from repro.core.arcs import RawArc
 from repro.core.histogram import Histogram
 from repro.core.profiledata import ProfileData, merge_profiles
 from repro.errors import GmonFormatError, MergeError
-from repro.gmon import read_gmon, write_gmon
-from repro.gmon.format import MAGIC
+from repro.gmon import dumps_gmon, read_gmon, write_gmon
+from repro.gmon.format import MAGIC, MAX_COUNT
 
 
 def _sample_data(comment="test run"):
@@ -137,6 +141,74 @@ class TestCorruption:
         data = ProfileData(Histogram(0, 4, [0]), [], comment="x" * 70_000)
         with pytest.raises(GmonFormatError, match="comment"):
             write_gmon(data, tmp_path / "gmon.out")
+
+
+class TestWriterFieldBounds:
+    """A value its on-disk field cannot hold is a GmonFormatError naming
+    the field, never a ``struct.error`` and never a file."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("low_pc", -8), ("low_pc", 2**64),
+            ("high_pc", -8), ("high_pc", 2**64),
+            ("arc from_pc", -4), ("arc from_pc", 2**64),
+            ("arc self_pc", -4), ("arc self_pc", 2**64),
+            ("runs", 2**32), ("profrate", 2**32),
+        ],
+    )
+    def test_out_of_range_field_rejected(self, tmp_path, field, value):
+        data = ProfileData(Histogram(0, 8, [1, 0]), [RawArc(0, 4, 1)])
+        if field == "runs":
+            data.runs = value
+        elif field.startswith("arc "):
+            data.arcs = [replace(data.arcs[0], **{field[4:]: value})]
+        else:
+            setattr(data.histogram, field, value)
+        with pytest.raises(GmonFormatError, match=f"^{field} {value} "):
+            dumps_gmon(data)
+        with pytest.raises(GmonFormatError, match=f"^{field} {value} "):
+            write_gmon(data, tmp_path / "gmon.out")
+        assert not list(tmp_path.iterdir())
+
+    def test_bucket_set_negative_after_construction(self):
+        data = ProfileData(Histogram(0, 8, [3, 4]), [])
+        data.histogram.counts[1] = -1
+        with pytest.raises(GmonFormatError, match="histogram count -1 is negative"):
+            dumps_gmon(data)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bytes_equal_per_field_reference(self, seed):
+        rng = random.Random(seed)
+        nbuckets = (0, 1, 2, 17, 300, 4096)[seed]
+        counts = [rng.choice((0, 0, 1, rng.randrange(MAX_COUNT), MAX_COUNT))
+                  for _ in range(nbuckets)]
+        if counts:
+            counts[rng.randrange(nbuckets)] = MAX_COUNT
+        arcs = [RawArc(rng.randrange(2**64), rng.randrange(2**64),
+                       rng.randrange(MAX_COUNT + 1)) for _ in range(seed * 3)]
+        hist = Histogram(0, nbuckets * 4, counts, profrate=rng.randrange(1, 2**32))
+        data = ProfileData(hist, arcs, runs=rng.randrange(2**32),
+                           comment=f"seed {seed}")
+        assert dumps_gmon(data) == _reference_dumps(data)
+
+
+def _reference_dumps(data):
+    """The gmon layout written one ``struct.pack`` per field."""
+    hist = data.histogram
+    comment = data.comment.encode("utf-8")
+    out = [MAGIC, struct.pack("<H", len(comment)), comment,
+           struct.pack("<I", data.runs), struct.pack("<Q", hist.low_pc),
+           struct.pack("<Q", hist.high_pc),
+           struct.pack("<I", len(hist.counts)),
+           struct.pack("<I", hist.profrate)]
+    out += [struct.pack("<I", count) for count in hist.counts]
+    arcs = data.condensed_arcs()
+    out.append(struct.pack("<I", len(arcs)))
+    for arc in arcs:
+        out += [struct.pack("<Q", arc.from_pc), struct.pack("<Q", arc.self_pc),
+                struct.pack("<I", arc.count)]
+    return b"".join(out)
 
 
 class TestMerge:

@@ -18,17 +18,17 @@ def run(source, **kw):
 
 class TestConstantFolding:
     def test_expressions_fold_to_pushes(self):
-        asm = compile_to_asm(
+        asm = str(compile_to_asm(
             "func main() { print 2 + 3 * 4; }", optimize_level=1
-        )
+        ))
         assert "PUSH 14" in asm
         assert "MUL" not in asm
 
     def test_identities(self):
-        asm = compile_to_asm(
+        asm = str(compile_to_asm(
             "func main() { x = 5; print x + 0; print 1 * x; }",
             optimize_level=1,
-        )
+        ))
         assert "ADD" not in asm
         assert "MUL" not in asm
 
@@ -40,30 +40,32 @@ class TestConstantFolding:
             run("func main() { print 1 / 0; }", optimize_level=1)
 
     def test_constant_if_pruned(self):
-        asm = compile_to_asm(
+        asm = str(compile_to_asm(
             "func f() { return 1; }\n"
             "func main() { if (0) { f(); } print 9; }",
             optimize_level=1,
-        )
+        ))
         assert "CALL f" not in asm
 
     def test_while_zero_removed(self):
-        asm = compile_to_asm(
+        asm = str(compile_to_asm(
             "func main() { while (0) { burn 100; } print 1; }",
             optimize_level=1,
-        )
+        ))
         assert "WORK" not in asm
 
     def test_dead_code_after_return_removed(self):
-        asm = compile_to_asm(
+        asm = str(compile_to_asm(
             "func f() { return 1; burn 999; }\nfunc main() { print f(); }",
             optimize_level=1,
-        )
+        ))
         assert "WORK 999" not in asm
 
     def test_effect_free_statement_removed(self):
-        asm0 = compile_to_asm("func main() { 42; print 1; }")
-        asm1 = compile_to_asm("func main() { 42; print 1; }", optimize_level=1)
+        asm0 = str(compile_to_asm("func main() { 42; print 1; }"))
+        asm1 = str(
+            compile_to_asm("func main() { 42; print 1; }", optimize_level=1)
+        )
         assert "PUSH 42" in asm0
         assert "PUSH 42" not in asm1
 
@@ -80,7 +82,7 @@ func main() {
 """
 
     def test_inline_removes_the_call_and_the_routine(self):
-        asm = compile_to_asm(self.SRC, optimize_level=2)
+        asm = str(compile_to_asm(self.SRC, optimize_level=2))
         assert "CALL square" not in asm
         assert ".func square" not in asm
 
@@ -169,7 +171,7 @@ def test_folding_matches_evaluation_property(data):
     text = build(0)
     src = f"func main() {{ print {text}; }}"
     assert run(src).output == run(src, optimize_level=1).output
-    asm = compile_to_asm(src, optimize_level=1)
+    asm = str(compile_to_asm(src, optimize_level=1))
     body_ops = [
         l.strip().split()[0]
         for l in asm.splitlines()

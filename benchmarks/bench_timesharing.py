@@ -6,20 +6,20 @@ measurement is complicated on time-sharing systems by the time-slicing
 of the program.  A second method samples the value of the program
 counter... particularly suited to time-sharing systems."
 
-Shape reproduced: running the measured program alongside a competing
-process on a round-robin machine,
+Shape reproduced: running N copies of the measured program round robin
+on a one-CPU :class:`~repro.machine.smp.SMPMachine`, with the
+elapsed-time profiler on process 0,
 
 * the elapsed-time profiler's per-activation figure for the measured
-  routine inflates with the competitor's share of the machine (≈2x
-  with one equal competitor, ≈Nx with N), while
-* the PC-sampling histogram of the measured process is bit-identical
-  to a solo run — its clock only advances while it runs.
+  routine inflates with the machine's load (≈2x with two processes,
+  ≈Nx with N), while
+* the PC-sampling histogram is exactly N times the solo run's, bucket
+  for bucket — each process's clock only advances while it runs.
 """
 
-import pytest
-
-from repro.machine import CPU, Monitor, MonitorConfig, assemble
-from repro.machine.timeshare import ElapsedTimeProfiler, TimeSharedMachine
+from repro.machine import assemble
+from repro.machine.smp import SMPMachine
+from repro.machine.timeshare import ElapsedTimeProfiler
 
 from benchmarks.conftest import report
 
@@ -44,68 +44,57 @@ loop:
 .end
 """
 
-COMPETITOR = """
-.func main
-    PUSH 500
-    STORE 0
-loop:
-    WORK 100
-    LOAD 0
-    PUSH 1
-    SUB
-    STORE 0
-    LOAD 0
-    JNZ loop
-    HALT
-.end
-"""
+#: Process counts: the measured program alone, then with 1 and 3 copies.
+LOADS = (1, 2, 4)
 
 
-def run_machine(n_competitors: int):
-    """Run the measured program beside ``n_competitors`` noise processes."""
+def run_machine(nprocs: int):
+    """Run ``nprocs`` copies of the measured program round robin on one
+    CPU; the elapsed-time profiler watches process 0."""
     exe = assemble(MEASURED, name="measured", profile=True)
-    monitor = Monitor(MonitorConfig(exe.low_pc, exe.high_pc, cycles_per_tick=10))
-    measured = CPU(exe, monitor)
-    cpus = [measured] + [
-        CPU(assemble(COMPETITOR, name=f"noise{i}")) for i in range(n_competitors)
-    ]
-    machine = TimeSharedMachine(cpus, quantum=150)
-    elapsed = ElapsedTimeProfiler(machine.wall_clock)
-    measured.tracer = elapsed
+    machine = SMPMachine(
+        exe, ncpus=1, nprocs=nprocs, policy="rr", quantum=150,
+        cycles_per_tick=10,
+    )
+    measured = machine.procs[0]
+    elapsed = ElapsedTimeProfiler(measured.wall_clock)
+    measured.cpu.tracer = elapsed
     machine.run()
-    return exe, monitor, elapsed
+    return exe, machine, elapsed
 
 
 def test_elapsed_inflates_with_load(benchmark):
     results = {}
-    for n in (0, 1, 3):
+    for n in LOADS:
         _, _, elapsed = run_machine(n)
         results[n] = elapsed.mean_wall("step_work")
     rows = [
-        (f"{n} competitors", f"{results[n]:.0f} wall cycles",
-         f"{results[n] / results[0]:.2f}x")
-        for n in (0, 1, 3)
+        (f"{n} process(es)", f"{results[n]:.1f} wall cycles",
+         f"{results[n] / results[1]:.2f}x")
+        for n in LOADS
     ]
     report("Elapsed-time method: mean wall time of step_work",
            rows, header=("load", "measured", "inflation"))
-    benchmark(lambda: run_machine(1))
-    assert results[1] > results[0] * 1.2
-    assert results[3] > results[1]
+    benchmark(lambda: run_machine(2))
+    assert results[2] > results[1] * 1.2
+    assert results[4] > results[2]
 
 
 def test_sampling_immune_to_load(benchmark):
-    profiles = {}
-    for n in (0, 1, 3):
-        exe, monitor, _ = run_machine(n)
-        profiles[n] = monitor.histogram.time_for_symbols(exe.symbol_table())
-    rows = [
-        (f"{n} competitors",
-         f"{profiles[n].get('step_work', 0):.3f}s",
-         f"{profiles[n].get('main', 0):.3f}s")
-        for n in (0, 1, 3)
-    ]
-    report("Sampling method: step_work / main self time",
-           rows, header=("load", "step_work", "main"))
-    benchmark(lambda: run_machine(0))
-    # bit-identical across machine loads
-    assert profiles[0] == profiles[1] == profiles[3]
+    solo = None
+    rows = []
+    for n in LOADS:
+        exe, machine, _ = run_machine(n)
+        merged = machine.merged_profile()
+        if solo is None:
+            solo = merged.histogram.counts
+        # bit-identical per process: N copies sample exactly N x solo
+        assert merged.histogram.counts == [n * c for c in solo]
+        times = merged.histogram.time_for_symbols(exe.symbol_table())
+        rows.append((f"{n} process(es)", merged.total_ticks,
+                     f"{times.get('step_work', 0) / n:.3f}s",
+                     f"{times.get('main', 0) / n:.3f}s"))
+    report("Sampling method: merged ticks, step_work / main self time "
+           "per process", rows,
+           header=("load", "ticks", "step_work", "main"))
+    benchmark(lambda: run_machine(1))

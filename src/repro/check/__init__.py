@@ -87,6 +87,7 @@ def check_executable(
     gmon_labels: Iterable[str] = (),
     flow: bool = False,
     flow_analysis: FlowAnalysis | None = None,
+    cache=None,
 ) -> CheckReport:
     """Run every applicable check over ``exe`` (and optional profiles).
 
@@ -103,6 +104,10 @@ def check_executable(
         flow_analysis: an already-computed :class:`FlowAnalysis` to
             reuse (implies ``flow``); :meth:`ProfileSession.lint`
             passes its cache-memoized one.
+        cache: an :class:`~repro.pipeline.AnalysisCache` for the
+            GP5xx pipeline lint's analysis; :meth:`ProfileSession.lint`
+            passes its session cache, so the listing rendered after
+            the lint replays that analysis.
 
     Returns a :class:`CheckReport` with deterministically-ordered
     diagnostics: executable-level findings first, then each profile's
@@ -123,7 +128,7 @@ def check_executable(
     for label, data in zip(labels, profiles):
         per_profile = consistency_passes(exe, data)
         per_profile += profile_passes(exe, data)
-        per_profile += pipeline_passes(symbols, data)
+        per_profile += pipeline_passes(symbols, data, cache=cache)
         if flow_analysis is not None:
             per_profile += expect_passes(exe, data, flow_analysis)
         diagnostics += [

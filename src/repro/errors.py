@@ -56,6 +56,11 @@ class LangError(ReproError):
         super().__init__(message)
 
 
+class StageOrderError(ReproError):
+    """A stage list runs a stage before any earlier stage provides
+    what it requires (a compiler pass list or the §4 analysis)."""
+
+
 class MergeError(ReproError):
     """Two profile data sets cannot be summed (incompatible layouts).
 

@@ -12,8 +12,7 @@ files per program.  This package is that scale jump, in three layers:
 * :mod:`repro.fleet.headers` — header peeking and layout digests, so
   incompatible files are rejected (or skipped) from a few hundred bytes
   before any real parsing, with a structured
-  :class:`~repro.errors.MergeError`; its stat-validated
-  :class:`HeaderCache` serves callers that rescan the same files;
+  :class:`~repro.errors.MergeError`;
 * :mod:`repro.fleet.reduce` — the merge driver: expand the inputs,
   precheck their headers, then stream every file, in input order,
   through one accumulator.  Output is byte-identical to the sequential
@@ -25,7 +24,7 @@ The ``repro-merge`` CLI and ``repro-gprof --sum`` sit on top;
 """
 
 from repro.fleet.accumulator import ProfileAccumulator, empty_profile_like
-from repro.fleet.headers import HeaderCache, HeaderKey
+from repro.fleet.headers import HeaderKey
 from repro.fleet.reduce import (
     expand_inputs,
     precheck_headers,
@@ -34,7 +33,6 @@ from repro.fleet.reduce import (
 )
 
 __all__ = [
-    "HeaderCache",
     "HeaderKey",
     "ProfileAccumulator",
     "empty_profile_like",

@@ -33,7 +33,7 @@ from repro.errors import GmonFormatError, MergeError
 from repro.gmon.format import peek_gmon_header, salvage_gmon_bytes
 
 from repro.fleet.accumulator import ProfileAccumulator
-from repro.fleet.headers import HeaderCache, HeaderKey
+from repro.fleet.headers import HeaderKey
 
 
 def _dedup_by_inode(matches: list[str]) -> list[str]:
@@ -110,7 +110,6 @@ def expand_inputs(specs: Sequence[str]) -> list[str]:
 
 def precheck_headers(
     paths: Sequence[str],
-    cache: HeaderCache | None = None,
     on_incompatible: str = "error",
     salvage: bool = False,
 ) -> tuple[list[str], list[str]]:
@@ -121,18 +120,16 @@ def precheck_headers(
     with ``"skip"`` mismatching files are dropped and described in the
     returned warnings.  In salvage mode files whose very header is
     unreadable are left in the list — the salvaging parser deals with
-    them — instead of failing the precheck.  A ``cache`` serves repeated
-    scans of the same files; without one the headers are read directly.
+    them — instead of failing the precheck.
     """
     if on_incompatible not in ("error", "skip"):
         raise ValueError(f"unknown on_incompatible {on_incompatible!r}")
-    peek = peek_gmon_header if cache is None else cache.peek
     expected: HeaderKey | None = None
     keep: list[str] = []
     warnings: list[str] = []
     for path in paths:
         try:
-            key = HeaderKey.of(peek(path))
+            key = HeaderKey.of(peek_gmon_header(path))
         except GmonFormatError:
             if salvage:
                 # the salvaging reader will recover what it can

@@ -1,8 +1,10 @@
 """The optimizer facade: ``optimize(program, level=…, profile=…)``.
 
-The implementation lives in :mod:`repro.lang.passes` as a staged pass
-pipeline (const-fold, dead-code, inline, plus the profile-consuming
-branch-order / pgo-inline / hot-cold-layout passes).  This module
+The implementation lives in :mod:`repro.lang.passes` as a list of
+:class:`~repro.trace.Stage` passes (const-fold, dead-code, inline, plus
+the profile-consuming branch-order / pgo-inline / hot-cold-layout
+passes) that :func:`~repro.trace.run_stages` runs over a
+:class:`~repro.lang.passes.CompileState`.  This module
 keeps the stable entry point and its level semantics:
 
 * ``level=0`` — no static optimization;
@@ -20,11 +22,8 @@ profile is exactly the identity transform over the static pipeline.
 from __future__ import annotations
 
 from repro.lang import ast
-from repro.lang.passes import (
-    INLINE_BODY_LIMIT,  # noqa: F401  (re-exported: the historical home)
-    build_pipeline,
-    run_passes,
-)
+from repro.lang.passes import CompileState, build_pipeline
+from repro.trace import run_stages
 
 
 def optimize(
@@ -40,7 +39,6 @@ def optimize(
             (:class:`~repro.lang.feedback.ProfileFeedback`); enables
             the profile-guided passes.
     """
-    optimized, _traces = run_passes(
-        program, build_pipeline(level, profile), profile
-    )
-    return optimized
+    state = CompileState(program, profile)
+    run_stages(build_pipeline(level, profile), state)
+    return state.program

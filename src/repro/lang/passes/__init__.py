@@ -1,10 +1,13 @@
 """The Rel compiler's staged pass pipeline.
 
 ``optimize.py`` used to be a monolith — one function that folded,
-pruned, and inlined in a single recursive sweep.  It is now a pipeline
-of named passes mirroring the ``repro.pipeline`` stage discipline:
-each pass declares what it ``requires`` and ``provides``, transforms
-the AST functionally, and reports what it did through counters.
+pruned, and inlined in a single recursive sweep.  It is now a list of
+named passes, each a :class:`repro.trace.Stage` — the protocol the §4
+analysis stages use — over a :class:`CompileState`: a pass declares
+what it ``requires`` and ``provides``, sets ``state.program`` to a new
+tree (never mutating the old one), and reports what it did through
+counters.  :func:`repro.trace.run_stages` checks the order and runs
+the list; a :class:`~repro.trace.PipelineTrace` records it.
 
 The standard pipelines (:func:`build_pipeline`):
 
@@ -30,42 +33,58 @@ the static pipeline.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from dataclasses import dataclass
 
 from repro.errors import LangError
 from repro.lang import ast
-from repro.lang.passes.base import Pass, PassTrace
 from repro.lang.passes.branch import BranchOrderPass
 from repro.lang.passes.deadcode import DeadCodePass
 from repro.lang.passes.fold import ConstFoldPass
-from repro.lang.passes.inline import (
-    INLINE_BODY_LIMIT,
-    LINKAGE_CYCLES,
-    InlinePass,
-)
+from repro.lang.passes.inline import LINKAGE_CYCLES, InlinePass
 from repro.lang.passes.layout import HotColdLayoutPass
+from repro.trace import Stage
 
 __all__ = [
     "BranchOrderPass",
+    "CompileState",
     "ConstFoldPass",
     "DeadCodePass",
     "HotColdLayoutPass",
-    "INLINE_BODY_LIMIT",
     "InlinePass",
     "LINKAGE_CYCLES",
-    "Pass",
-    "PassTrace",
     "build_pipeline",
-    "merge_counters",
-    "run_passes",
 ]
 
 
-def build_pipeline(level: int = 1, feedback=None) -> list[Pass]:
+@dataclass
+class CompileState:
+    """What the compiler passes read and write.
+
+    Attributes:
+        program: the current tree; each pass replaces it with a new one.
+        feedback: measured :class:`~repro.lang.feedback.ProfileFeedback`
+            for the profile passes, or None.
+    """
+
+    program: ast.Program
+    feedback: object = None
+
+    @property
+    def feedback_active(self) -> bool:
+        """Whether ``feedback`` carries usable measurements.
+
+        ``None``, stale, and zero-sample feedback all count as absent,
+        so every profile pass degrades to the identity transform on
+        bad input instead of guessing.
+        """
+        return self.feedback is not None and not self.feedback.empty
+
+
+def build_pipeline(level: int = 1, feedback=None) -> list[Stage]:
     """The standard pass list for an optimization level (+ feedback)."""
     if isinstance(level, bool) or level not in (0, 1, 2):
         raise LangError(f"unknown optimization level {level!r}")
-    passes: list[Pass] = []
+    passes: list[Stage] = []
     if feedback is not None:
         passes.append(BranchOrderPass())
     if level >= 1:
@@ -76,39 +95,3 @@ def build_pipeline(level: int = 1, feedback=None) -> list[Pass]:
     if feedback is not None:
         passes.append(HotColdLayoutPass())
     return passes
-
-
-def run_passes(
-    program: ast.Program, passes: list[Pass], feedback=None
-) -> tuple[ast.Program, list[PassTrace]]:
-    """Run ``passes`` in order, enforcing the requires/provides contract.
-
-    Returns the transformed program and one :class:`PassTrace` per
-    pass.  A pass whose ``requires`` has not been provided by an
-    earlier pass is a pipeline construction bug and raises
-    :class:`~repro.errors.LangError` — the compiler analogue of the
-    analysis pipeline refusing to run stages out of order.
-    """
-    provided: set[str] = set()
-    traces: list[PassTrace] = []
-    for p in passes:
-        missing = [req for req in p.requires if req not in provided]
-        if missing:
-            raise LangError(
-                f"pass {p.name!r} requires {missing} but the pipeline "
-                f"only provides {sorted(provided)}"
-            )
-        counters: dict[str, int] = defaultdict(int)
-        program = p.run(program, feedback, counters)
-        provided.update(p.provides)
-        traces.append(PassTrace(p.name, dict(counters)))
-    return program, traces
-
-
-def merge_counters(traces: list[PassTrace]) -> dict[str, int]:
-    """Fold every trace's counters into one ``pass.counter`` dict."""
-    merged: dict[str, int] = {}
-    for trace in traces:
-        for key, value in trace.counters.items():
-            merged[f"{trace.name}.{key}"] = value
-    return merged

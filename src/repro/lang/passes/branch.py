@@ -20,15 +20,15 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.lang import ast
-from repro.lang.passes.base import Pass
 from repro.lang.passes.fold import replace_program
+from repro.trace import Stage
 
 #: Hint verdicts the feedback layer may record per branch ordinal.
 SWAP = "swap"      # If: emit the then-arm on the fall-through path
 ROTATE = "rotate"  # While: emit the bottom-tested form
 
 
-class BranchOrderPass(Pass):
+class BranchOrderPass(Stage):
     """Stamp measured-likely-successor hints onto If/While nodes.
 
     Must run *first* in a feedback pipeline: the ordinals in
@@ -39,11 +39,11 @@ class BranchOrderPass(Pass):
 
     name = "branch-order"
     provides = ("branch-hints",)
-    profile = True
 
-    def run(self, program, feedback, counters):
-        if not Pass.feedback_active(feedback) or not feedback.branch_hints:
-            return program
+    def run(self, state, counters):
+        program, feedback = state.program, state.feedback
+        if not state.feedback_active or not feedback.branch_hints:
+            return
         functions = []
         for fn in program.functions:
             hints = {
@@ -61,7 +61,7 @@ class BranchOrderPass(Pass):
             functions.append(
                 replace(fn, body=self._stmts(fn.body, ordinals, hints, counters))
             )
-        return replace_program(program, functions)
+        state.program = replace_program(program, functions)
 
     def _stmts(self, stmts, ordinals, hints, counters) -> tuple:
         out = []

@@ -17,22 +17,22 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.lang import ast
-from repro.lang.passes.base import Pass
+from repro.trace import Stage
 
 
-class ConstFoldPass(Pass):
+class ConstFoldPass(Stage):
     """Fold constant expressions and apply safe algebraic identities."""
 
     name = "const-fold"
     provides = ("folded",)
 
-    def run(self, program, feedback, counters):
+    def run(self, state, counters):
         self.counters = counters
         functions = []
-        for fn in program.functions:
+        for fn in state.program.functions:
             body = self._stmts(fn.body)
             functions.append(fn if body is fn.body else replace(fn, body=body))
-        return replace_program(program, functions)
+        state.program = replace_program(state.program, functions)
 
     # -- statements ------------------------------------------------------
 

@@ -27,8 +27,8 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.lang import ast
-from repro.lang.passes.base import Pass
 from repro.lang.passes.fold import replace_program
+from repro.trace import Stage
 
 #: Cap on the body size (statements) of a routine considered for §6
 #: inline expansion.
@@ -45,25 +45,24 @@ LINKAGE_CYCLES = 8
 MIN_BENEFIT_CYCLES = LINKAGE_CYCLES  # i.e. at least one measured call
 
 
-class InlinePass(Pass):
+class InlinePass(Stage):
     """Expand trivially-inlinable routines into their callers."""
 
     name = "inline"
-    requires = ()
     provides = ("inlined",)
-    profile = True  # consumes feedback when present
 
     def __init__(self, static: bool = False):
         #: Whether to fall back to expand-everything when no usable
         #: feedback is available (the -O2 static policy).
         self.static = static
 
-    def run(self, program, feedback, counters):
-        if not Pass.feedback_active(feedback) and not self.static:
-            return program  # a true no-op: no policy has data to act on
+    def run(self, state, counters):
+        program, feedback = state.program, state.feedback
+        if not state.feedback_active and not self.static:
+            return  # a true no-op: no policy has data to act on
         candidates = find_inlinable(program.functions)
         counters["candidates"] = len(candidates)
-        if Pass.feedback_active(feedback):
+        if state.feedback_active:
             selected = {}
             for name, fn in candidates.items():
                 if inline_benefit(fn, feedback.calls_into(name)) >= 0:
@@ -73,7 +72,7 @@ class InlinePass(Pass):
         else:
             selected = candidates
         if not selected:
-            return program
+            return
         functions = [
             replace(fn, body=_inline_in(fn.body, selected, fn.name, counters))
             for fn in program.functions
@@ -93,7 +92,7 @@ class InlinePass(Pass):
             or fn.name in still_called
         ]
         counters["routines_removed"] = len(functions) - len(kept)
-        return replace_program(program, kept)
+        state.program = replace_program(program, kept)
 
 
 # -- the benefit model ---------------------------------------------------------

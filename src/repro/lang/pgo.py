@@ -32,9 +32,11 @@ from repro.lang import ast
 from repro.lang.codegen import generate, generate_mapped
 from repro.lang.feedback import ProfileFeedback
 from repro.lang.parser import parse
-from repro.lang.passes import build_pipeline, merge_counters, run_passes
+from repro.lang.optimize import optimize
+from repro.lang.passes import CompileState, build_pipeline
 from repro.machine import Monitor, MonitorConfig, assemble, make_cpu
 from repro.machine.assembler import Asm
+from repro.trace import PipelineTrace, run_stages
 
 
 @dataclass
@@ -111,8 +113,7 @@ def run_pgo(
     """
     if rounds < 1:
         raise ReproError("run_pgo needs at least one round")
-    program = parse(source)
-    program, _ = run_passes(program, build_pipeline(level, None))
+    program = optimize(parse(source), level=level)
     baseline = _run_plain(program, name, engine)
     reference = (list(baseline.output), list(baseline.globals))
     cycles_before = baseline.cycles
@@ -135,7 +136,9 @@ def run_pgo(
             program, exe, smap, data, cycles_per_tick
         )
         # 3. the profile-guided rewrite.
-        optimized, traces = run_passes(program, build_pipeline(0, fb), fb)
+        state, trace = CompileState(program, fb), PipelineTrace()
+        run_stages(build_pipeline(0, fb), state, trace)
+        optimized = state.program
         # 4. verification + the honest (unprofiled) measurement.
         after = _run_plain(optimized, name, engine)
         identical = (
@@ -149,7 +152,7 @@ def run_pgo(
                 calls=data.total_calls,
                 cycles_before=cycles_before,
                 cycles_after=after.cycles,
-                counters=merge_counters(traces),
+                counters=trace.counters(),
                 hints=len(fb.branch_hints),
                 hot=_hot_routines(fb),
                 warnings=list(fb.warnings),

@@ -1,4 +1,4 @@
-"""A time-sharing machine, and why gprof samples instead of timing.
+"""The rejected elapsed-time profiler, and why gprof samples instead.
 
 §3.2 gives two ways to gather execution times and rejects the first:
 
@@ -10,21 +10,23 @@
     time-sharing systems, where the time-slicing can serve as the basis
     for sampling the program counter."
 
-This module reproduces that argument as an experiment.  A
-:class:`TimeSharedMachine` runs several CPUs round-robin against one
-*wall* clock.  An :class:`ElapsedTimeProfiler` implements the rejected
-method — stamping routine entry and exit with the wall clock — and
-systematically over-reports routines that happen to be live across a
-context switch.  The sampling monitor, ticking on the process's *own*
-cycle clock, is unaffected.  ``benchmarks/bench_timesharing.py``
-quantifies the difference.
+This module reproduces that argument as an experiment.  An
+:class:`ElapsedTimeProfiler` implements the rejected method — stamping
+routine entry and exit with the wall clock — and systematically
+over-reports routines that happen to be live across a context switch.
+The time-shared machine is :class:`~repro.machine.smp.SMPMachine` with
+one CPU and the ``rr`` policy: its processes take turns, each
+:class:`~repro.machine.smp.Process` offers its view of the wall clock,
+and the sampling monitor, ticking on the process's *own* cycle clock,
+is unaffected.  ``benchmarks/bench_timesharing.py`` quantifies the
+difference, and ``tests/smp_golden.py`` measures the same bias as the
+machine grows wider.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import MachineError
 from repro.machine.cpu import CPU
 
 
@@ -33,11 +35,11 @@ class ElapsedTimeProfiler:
     """The paper's rejected method: wall-clock entry-to-exit timing.
 
     Installed as a CPU's ``tracer``; ``clock`` is a zero-argument
-    callable returning the current *wall* time (the time-shared
-    machine's global cycle count).  Each routine accumulates the wall
-    time between its entry and its exit — including any slices the
-    scheduler gave to other processes in between, which is precisely
-    the method's flaw.
+    callable returning the current *wall* time (an SMP process's
+    :meth:`~repro.machine.smp.Process.wall_clock`).  Each routine
+    accumulates the wall time between its entry and its exit —
+    including any slices the scheduler gave to other processes in
+    between, which is precisely the method's flaw.
 
     Attributes:
         inclusive_wall: routine name → total wall cycles between entry
@@ -68,63 +70,3 @@ class ElapsedTimeProfiler:
         """Average wall cycles per activation of ``name``."""
         n = self.activations.get(name, 0)
         return self.inclusive_wall.get(name, 0) / n if n else 0.0
-
-
-class TimeSharedMachine:
-    """Several CPUs sharing one machine, scheduled round-robin.
-
-    Arguments:
-        cpus: the processes.  Each keeps its own cycle clock (process
-            time); the machine's :attr:`wall_cycles` advances with
-            whichever process is running.
-        quantum: wall cycles per scheduling slice.
-
-    Each CPU's attached monitor keeps sampling on the CPU's *own*
-    clock, so a process's histogram only ever ticks while it runs —
-    the kernel behaviour that makes sampling time-sharing-proof.
-    """
-
-    def __init__(self, cpus: list[CPU], quantum: int = 500):
-        if not cpus:
-            raise MachineError("a machine needs at least one process")
-        if quantum <= 0:
-            raise MachineError(f"quantum must be positive, got {quantum}")
-        self.cpus = list(cpus)
-        self.quantum = quantum
-        self.wall_cycles = 0
-        self.context_switches = 0
-
-    def wall_clock(self) -> int:
-        """The global wall clock (for :class:`ElapsedTimeProfiler`)."""
-        return self.wall_cycles
-
-    def run(self, max_wall_cycles: int | None = None) -> None:
-        """Run all processes to completion (or a wall-clock budget).
-
-        Each slice is delegated to the process's own ``run`` with a
-        cycle budget, so a fast-engine process keeps its predecoded
-        dispatch loop across the whole quantum instead of paying
-        ``step()`` overhead per instruction.  Within a slice the wall
-        clock and the process clock advance in lockstep, so bounding
-        the slice at the remaining wall budget stops execution at the
-        same instruction the per-step accounting would have.
-        """
-        while True:
-            alive = [cpu for cpu in self.cpus if not cpu.halted]
-            if not alive:
-                return
-            for cpu in alive:
-                if cpu.halted:
-                    continue
-                budget = self.quantum
-                if max_wall_cycles is not None:
-                    budget = min(budget, max_wall_cycles - self.wall_cycles)
-                before = cpu.cycles
-                cpu.run(max_cycles=before + max(budget, 1))
-                self.wall_cycles += cpu.cycles - before
-                if (
-                    max_wall_cycles is not None
-                    and self.wall_cycles >= max_wall_cycles
-                ):
-                    return
-                self.context_switches += 1

@@ -8,9 +8,8 @@ pipeline memoizes its expensive intermediates — the symbolized
 :class:`~repro.core.arcs.ArcSet`, the per-routine self times, the
 cycle-numbered graph, the solved :class:`~repro.core.propagate.Propagation`,
 and the assembled :class:`~repro.core.analysis.Profile` — keyed by
-blake2b digests of each stage's *inputs* (the same content-addressed
-idiom as :class:`repro.fleet.HeaderCache`'s stat-validated peeks, one
-level up the stack).
+blake2b digests of each stage's *inputs*
+(:func:`repro.pipeline.runner.compute_keys` folds the options in).
 
 Keys are pure functions of content: two different
 :class:`~repro.core.symbols.SymbolTable` objects with equal symbols
@@ -31,7 +30,6 @@ from collections import OrderedDict
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from repro.core.analysis import AnalysisOptions
     from repro.core.histogram import Histogram
     from repro.core.profiledata import ProfileData
     from repro.core.symbols import SymbolTable
@@ -108,26 +106,6 @@ def digest_warnings(data: "ProfileData") -> str:
     """Digest of the degradation warnings carried by the input data."""
     h = _new_hash()
     _digest_strs(h, data.warnings)
-    return h.hexdigest()
-
-
-def digest_options(options: "AnalysisOptions") -> str:
-    """Content digest of the analysis knobs.
-
-    Sequences are digested **in the order given**: arc insertion order
-    can break presentation ties, so two option sets that differ only in
-    ordering are conservatively treated as different inputs.
-    """
-    h = _new_hash()
-    h.update(struct.pack(
-        "<??q", options.auto_break_cycles, options.keep_unknown,
-        options.max_removed_arcs,
-    ))
-    _digest_strs(h, options.excluded)
-    for caller, callee in options.static_arcs:
-        _digest_strs(h, (caller, callee))
-    for caller, callee in options.deleted_arcs:
-        _digest_strs(h, (caller, callee))
     return h.hexdigest()
 
 
@@ -208,10 +186,6 @@ class AnalysisCache:
 
     def __len__(self) -> int:
         return len(self._store)
-
-    def clear(self) -> None:
-        """Drop every entry (the probe statistics survive)."""
-        self._store.clear()
 
     def stats(self) -> dict:
         """Probe statistics, JSON-ready."""

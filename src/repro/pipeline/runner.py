@@ -29,16 +29,17 @@ kind           covers                                       keyed by
 
 Later keys fold in earlier ones, so the chain covers every input
 transitively and a fully-warm run touches nothing but the digests.
-Cache records carry the covered stages' warnings and counters so warm
-runs replay both: the profile a warm run returns is indistinguishable
-from a cold one (module the ``cached`` markers in the trace).
+A cache record holds exactly the state fields its stages ``provide``
+(the ``self_times`` group's are ``spans`` and ``self_times``), plus the
+covered stages' warnings and counters, so warm runs replay all three:
+the profile a warm run returns is indistinguishable from a cold one
+(modulo the ``cached`` markers in the trace).  Stages run through
+:func:`repro.trace.run_stage`, the runner the compiler passes share.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.pipeline.cache import (
     AnalysisCache,
@@ -49,74 +50,40 @@ from repro.pipeline.cache import (
     digest_symbols,
     digest_warnings,
 )
-from repro.pipeline.stages import STAGES, PipelineState, Stage
-from repro.pipeline.trace import PipelineTrace, StageTrace
+from repro.pipeline.stages import STAGE_BY_NAME, PipelineState
+from repro.trace import PipelineTrace, Stage, StageTrace, run_stage
 
 
 @dataclass(frozen=True)
 class CacheGroup:
-    """A contiguous run of stages memoized as one unit."""
+    """A contiguous run of stages memoized as one unit.
+
+    A cold run stores exactly the state fields its stages
+    :attr:`provides`; a warm run sets those fields back.
+    """
 
     kind: str
-    stages: tuple[str, ...]
-    #: Extract the (treat-as-immutable) value to store after a cold run.
-    capture: Callable[[PipelineState], object]
-    #: Write a cached value back onto the state, skipping the stages.
-    restore: Callable[[PipelineState, object], None]
+    stages: tuple[Stage, ...]
+
+    @property
+    def provides(self) -> tuple[str, ...]:
+        """The state fields the group's stages write, first writer first."""
+        return tuple(
+            dict.fromkeys(name for s in self.stages for name in s.provides)
+        )
 
 
-def _restore_arcs(state: PipelineState, value) -> None:
-    state.symbolized, state.arcs = value
-
-
-def _restore_self_times(state: PipelineState, value) -> None:
-    state.self_times = value
-
-
-def _restore_numbered(state: PipelineState, value) -> None:
-    state.graph, state.removed, state.numbered = value
-
-
-def _restore_prop(state: PipelineState, value) -> None:
-    state.prop = value
-
-
-def _restore_profile(state: PipelineState, value) -> None:
-    state.profile = value
+def _group(kind: str, *names: str) -> CacheGroup:
+    return CacheGroup(kind, tuple(STAGE_BY_NAME[name] for name in names))
 
 
 #: The cache groups, in stage order; together they partition STAGES.
 GROUPS: tuple[CacheGroup, ...] = (
-    CacheGroup(
-        "arcs",
-        ("symbolize", "exclude"),
-        lambda s: (s.symbolized, s.arcs),
-        _restore_arcs,
-    ),
-    CacheGroup(
-        "self_times",
-        ("apportion",),
-        lambda s: s.self_times,
-        _restore_self_times,
-    ),
-    CacheGroup(
-        "numbered",
-        ("build-graph", "augment", "break-cycles", "number"),
-        lambda s: (s.graph, s.removed, s.numbered),
-        _restore_numbered,
-    ),
-    CacheGroup(
-        "prop",
-        ("propagate",),
-        lambda s: s.prop,
-        _restore_prop,
-    ),
-    CacheGroup(
-        "profile",
-        ("assemble",),
-        lambda s: s.profile,
-        _restore_profile,
-    ),
+    _group("arcs", "symbolize", "exclude"),
+    _group("self_times", "apportion"),
+    _group("numbered", "build-graph", "augment", "break-cycles", "number"),
+    _group("prop", "propagate"),
+    _group("profile", "assemble"),
 )
 
 _SEP = ";;"
@@ -126,8 +93,10 @@ def compute_keys(state: PipelineState) -> dict[str, str]:
     """Content-addressed keys for every cache group, input digests only.
 
     Every key folds in the keys of the groups it depends on, so each
-    covers its stages' inputs transitively.  Sequences keep their given
-    order (see :func:`repro.pipeline.cache.digest_options`).
+    covers its stages' inputs transitively.  Option sequences are
+    folded in the order given: arc insertion order can break
+    presentation ties, so two option sets that differ only in ordering
+    are conservatively treated as different inputs.
     """
     data, options = state.data, state.options
     sym = digest_symbols(state.symbols)
@@ -166,22 +135,6 @@ def compute_keys(state: PipelineState) -> dict[str, str]:
     }
 
 
-def _run_stage(
-    stage: Stage, state: PipelineState, trace: PipelineTrace | None
-) -> tuple[str, dict[str, int]]:
-    """Run one stage, timed and counted; return its journal record."""
-    counters: dict[str, int] = {}
-    if trace is not None:
-        start = time.perf_counter()
-        stage.run(state, counters)
-        trace.add(
-            StageTrace(stage.name, time.perf_counter() - start, counters)
-        )
-    else:
-        stage.run(state, counters)
-    return stage.name, counters
-
-
 def run_analysis(
     data,
     symbols,
@@ -205,7 +158,6 @@ def run_analysis(
     """
     state = PipelineState(data, symbols, options, warnings=list(data.warnings))
     keys = compute_keys(state) if cache is not None else None
-    stage_by_name = {s.name: s for s in STAGES}
     if cache is not None:
         # Seed the geometry spans if a same-layout analysis already
         # built them.  This is a sub-stage memo, not a cache group: a
@@ -219,28 +171,29 @@ def run_analysis(
         if cache is not None:
             record = cache.get(group.kind, keys[group.kind])
             if record is not None:
-                value, warnings, journal = record
-                group.restore(state, value)
+                fields, warnings, journal = record
+                for name, value in fields.items():
+                    setattr(state, name, value)
                 state.warnings.extend(warnings)
                 if trace is not None:
                     trace.cache_hits += 1
-                    for name, counters in journal:
+                    for stage, counters in zip(group.stages, journal):
                         trace.add(
-                            StageTrace(name, 0.0, dict(counters), cached=True)
+                            StageTrace(
+                                stage.name, 0.0, dict(counters), cached=True
+                            )
                         )
                 continue
             if trace is not None:
                 trace.cache_misses += 1
         mark = len(state.warnings)
-        journal = [
-            _run_stage(stage_by_name[name], state, trace)
-            for name in group.stages
-        ]
+        journal = [run_stage(stage, state, trace) for stage in group.stages]
         if cache is not None:
+            fields = {name: getattr(state, name) for name in group.provides}
             cache.put(
                 group.kind,
                 keys[group.kind],
-                (group.capture(state), state.warnings[mark:], journal),
+                (fields, state.warnings[mark:], journal),
             )
             if group.kind == "self_times" and state.spans is not None:
                 cache.put("spans", keys["spans"], state.spans)

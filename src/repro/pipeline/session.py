@@ -31,7 +31,7 @@ from repro.core.profiledata import ProfileData
 from repro.fleet import ProfileAccumulator, expand_inputs, tree_reduce
 from repro.gmon import read_gmon, salvage_gmon
 from repro.pipeline.cache import AnalysisCache
-from repro.pipeline.trace import PipelineTrace
+from repro.trace import PipelineTrace
 
 
 class ProfileSession:
@@ -159,7 +159,10 @@ class ProfileSession:
         diagnostic the session's readers collected.  With ``flow``
         set, the dataflow battery (GP601–GP605) and the per-profile
         expectation checks (GP610–GP612) run too, reusing this
-        session's memoized :meth:`flow` analysis.
+        session's memoized :meth:`flow` analysis.  The GP5xx pipeline
+        lint analyzes each profile with default options through the
+        session cache, so a later :meth:`analyze` with the same
+        options replays it.
         """
         from repro.check import CheckReport, check_executable
         from repro.check.diagnostics import merge_reports
@@ -170,6 +173,7 @@ class ProfileSession:
         report = check_executable(
             self.exe, profiles, labels, flow=flow,
             flow_analysis=self.flow() if flow else None,
+            cache=self.cache,
         )
         if self.gmon_diagnostics:
             report = merge_reports(

@@ -22,8 +22,10 @@ The stage sequence, in execution order:
 ==============  =============================================================
 
 Every stage fills an integer ``counters`` dict describing the work it
-did; the runner wraps each call with wall-time measurement and appends
-a :class:`~repro.pipeline.trace.StageTrace`.
+did; :func:`~repro.trace.run_stage` wraps each call with wall-time
+measurement and appends a :class:`~repro.trace.StageTrace`.  The
+:class:`~repro.trace.Stage` protocol, its order check and its trace are
+shared with the compiler passes (:mod:`repro.lang.passes`).
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from repro.core.callgraph import CallGraph
 from repro.core.cycles import number_graph
 from repro.core.propagate import propagate
 from repro.core.staticgraph import augment_with_static_arcs
+from repro.trace import Stage
 
 
 @dataclass
@@ -44,9 +47,12 @@ class PipelineState:
     """The blackboard every stage reads from and writes to.
 
     The first three fields are the pipeline's immutable inputs; the
-    rest are intermediates, each owned by exactly one stage (its
-    ``provides`` declaration).  ``warnings`` accumulates degradation
-    notices in stage order and ends up on the assembled profile.
+    rest are intermediates, each named in the ``provides`` of the
+    stages that write it.  Most have one provider; ``graph`` has three
+    (build-graph creates it, augment and break-cycles edit it in
+    place).  A cache group stores and restores exactly the fields its
+    stages provide.  ``warnings`` accumulates degradation notices in
+    stage order and ends up on the assembled profile.
     """
 
     data: Any
@@ -69,28 +75,6 @@ class PipelineState:
     @property
     def excluded(self) -> set[str]:
         return set(self.options.excluded)
-
-
-class Stage:
-    """One named pass of the analysis pipeline.
-
-    Subclasses set ``name``/``requires``/``provides`` and implement
-    :meth:`run`, which reads its inputs off the state, writes its
-    outputs back, and describes the work done in ``counters`` (integer
-    values only — they feed the deterministic JSON trace).
-    """
-
-    name: str = "?"
-    #: State fields this stage reads (beyond the fixed inputs).
-    requires: tuple[str, ...] = ()
-    #: State fields this stage writes.
-    provides: tuple[str, ...] = ()
-
-    def run(self, state: PipelineState, counters: dict[str, int]) -> None:
-        raise NotImplementedError  # pragma: no cover - interface
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<Stage {self.name}>"
 
 
 class SymbolizeStage(Stage):
@@ -326,8 +310,8 @@ class AssembleStage(Stage):
 
 
 #: The §4 pipeline, in execution order.  ``run_analysis`` walks exactly
-#: this list; tests assert the declared requires/provides dependencies
-#: are satisfied by this order (augment before number, etc.).
+#: this list; :func:`repro.trace.check_order` accepts it (augment
+#: before number, etc.), which the registry test asserts.
 STAGES: tuple[Stage, ...] = (
     SymbolizeStage(),
     ExcludeStage(),

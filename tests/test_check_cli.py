@@ -142,6 +142,34 @@ class TestGprofLintFlag:
         assert "GP303" in captured.err
         assert "call graph profile" in captured.out
 
+    @pytest.mark.parametrize("flag", ["--lint", "--expect"])
+    def test_lint_and_listing_share_one_analysis(
+        self, tmp_path, capsys, flag
+    ):
+        # The lint's GP5xx check analyzes through the session cache, so
+        # the listing replays all five cache groups instead of analyzing
+        # again; the diagnostics are those of an uncached lint.
+        from repro.check import check_executable
+        from repro.pipeline import ProfileSession
+
+        image, gmon = self._materialize(
+            tmp_path, PROGRAMS["fib"](), "fib"
+        )
+        data = read_gmon(str(gmon))
+        data.arcs.append(type(data.arcs[0])(6, data.arcs[0].self_pc, 1))
+        write_gmon(data, str(gmon))
+        session = ProfileSession.from_image(str(image))
+        uncached = check_executable(
+            session.exe, [session.load([str(gmon)])], ["<summed gmon>"],
+            flow=flag == "--expect",
+        ).render_text()
+        assert "GP303" in uncached
+        assert gprof_main([flag, "--timings", str(image), str(gmon)]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith(uncached)
+        assert err[len(uncached):].startswith("pipeline timings (")
+        assert "cache 5 hit(s) / 0 miss(es)" in err
+
     def test_lint_requires_vm_image(self, tmp_path, capsys):
         src = PROGRAMS["fib"]()
         exe = assemble(src, name="fib", profile=True)

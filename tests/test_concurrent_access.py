@@ -1,24 +1,16 @@
-"""Concurrent readers: shared salvage and the stat/read cache race.
+"""Concurrent readers: shared salvage under racing rewrites.
 
-Satellite regressions for the ingest-service PR.  Two properties:
-
-* two threads salvaging the *same* damaged gmon file concurrently must
-  both succeed with identical recoveries — the salvaging reader holds
-  no hidden mutable state;
-* two :class:`HeaderCache` users racing a writer that atomically
-  rewrites the file *between* their stat and their read must never
-  crash and never see torn data: every header any thread observes must
-  be one of the versions actually written, and the cache must never
-  serve version A's header under version B's stat identity.
+Two threads salvaging the *same* damaged gmon file concurrently must
+both succeed with identical recoveries — the salvaging reader holds no
+hidden mutable state — and readers racing an atomic rewriter must each
+see one complete version.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 
-from repro.fleet.headers import HeaderCache, HeaderKey
-from repro.gmon import dumps_gmon, salvage_gmon_bytes, write_gmon
+from repro.gmon import dumps_gmon, salvage_gmon_bytes
 from repro.resilience.atomic import atomic_write_bytes
 
 from tests.helpers import make_symbols, profile_data
@@ -108,113 +100,3 @@ class TestConcurrentSalvage:
             w.join()
         seen = {b for chunk in results for b in chunk}
         assert seen <= {blob_a, blob_b}
-
-
-class TestHeaderCacheRace:
-    def versions(self, tmp_path):
-        """Two layout-distinct versions of one path, plus their keys."""
-        v1 = profile_data(
-            make_symbols("main", "work"), [("main", "work", 1)], {"main": 1}
-        )
-        v2 = profile_data(
-            make_symbols("main", "work", "leaf", "pad"),
-            [("main", "work", 1)], {"main": 1},
-        )
-        path = tmp_path / "gmon.racing"
-        write_gmon(v1, path)
-        b1, b2 = dumps_gmon(v1), dumps_gmon(v2)
-        from repro.gmon import peek_gmon_header_bytes
-
-        keys = {
-            HeaderKey.of(peek_gmon_header_bytes(b1)),
-            HeaderKey.of(peek_gmon_header_bytes(b2)),
-        }
-        return path, b1, b2, keys
-
-    def test_peek_racing_atomic_rewrites(self, tmp_path):
-        path, b1, b2, valid_keys = self.versions(tmp_path)
-        cache = HeaderCache()
-        stop = threading.Event()
-
-        def rewriter():
-            flip = True
-            while not stop.is_set():
-                atomic_write_bytes(path, b2 if flip else b1)
-                flip = not flip
-
-        w = threading.Thread(target=rewriter)
-        w.start()
-        try:
-            def peek(_i):
-                observed = set()
-                for _ in range(200):
-                    header = cache.peek(path)  # must never raise
-                    observed.add(HeaderKey.of(header))
-                return observed
-
-            results = run_threads(4, peek)
-        finally:
-            stop.set()
-            w.join()
-        for observed in results:
-            # torn data would manifest as a key that matches neither
-            # version ever written
-            assert observed <= valid_keys
-
-    def test_cache_entry_matches_final_file(self, tmp_path):
-        """After the dust settles, a cached hit equals a fresh peek.
-
-        This is the stat-revalidation pin: if peek ever paired version
-        A's header with version B's stat identity, the final cached
-        answer would disagree with the file on disk.
-        """
-        path, b1, b2, _keys = self.versions(tmp_path)
-        cache = HeaderCache()
-        stop = threading.Event()
-
-        def rewriter():
-            flip = True
-            while not stop.is_set():
-                atomic_write_bytes(path, b2 if flip else b1)
-                flip = not flip
-
-        w = threading.Thread(target=rewriter)
-        w.start()
-        try:
-            run_threads(4, lambda _i: [cache.peek(path) for _ in range(100)])
-        finally:
-            stop.set()
-            w.join()
-        from repro.gmon import peek_gmon_header
-
-        truth = HeaderKey.of(peek_gmon_header(path))
-        assert HeaderKey.of(cache.peek(path)) == truth
-
-    def test_unchanged_file_hits_cache(self, tmp_path):
-        path, _b1, _b2, _keys = self.versions(tmp_path)
-        cache = HeaderCache()
-        first = cache.peek(path)
-        assert cache.misses == 1
-        again = cache.peek(path)
-        assert again == first
-        assert cache.hits == 1
-        assert len(cache) == 1
-
-    def test_concurrent_peeks_distinct_files(self, tmp_path):
-        """Many threads, many files, one shared cache: no corruption."""
-        data = profile_data(SYMS, [("main", "work", 1)], {"main": 1})
-        paths = []
-        for i in range(8):
-            p = tmp_path / f"gmon.{i}"
-            write_gmon(data, p)
-            paths.append(p)
-        cache = HeaderCache()
-        ref = {str(p): HeaderKey.of(cache.peek(p)) for p in paths}
-        cache2 = HeaderCache()
-
-        def peek_all(_i):
-            return {str(p): HeaderKey.of(cache2.peek(p)) for p in paths}
-
-        for observed in run_threads(8, peek_all):
-            assert observed == ref
-        assert len(cache2) == len(paths)

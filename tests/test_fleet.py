@@ -22,11 +22,9 @@ from repro.core.profiledata import ProfileData
 from repro.core.arcs import RawArc
 from repro.errors import GmonFormatError, MergeError
 from repro.fleet import (
-    HeaderCache,
     HeaderKey,
     ProfileAccumulator,
     expand_inputs,
-    precheck_headers,
     tree_reduce,
 )
 from repro.gmon import dumps_gmon, peek_gmon_header, read_gmon, write_gmon
@@ -172,14 +170,6 @@ class TestHeaderPrecheck:
         clean = tree_reduce(paths)
         assert merged.runs == clean.runs
         assert merged.histogram.counts == clean.histogram.counts
-
-    def test_header_cache_hits_on_unchanged_files(self, tmp_path):
-        paths = _synthetic_fleet(tmp_path, 5)
-        cache = HeaderCache()
-        precheck_headers(paths, cache=cache)
-        assert cache.misses == 5 and cache.hits == 0
-        precheck_headers(paths, cache=cache)
-        assert cache.hits == 5
 
 
 # -- the merge driver -------------------------------------------------------------

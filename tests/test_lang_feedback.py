@@ -8,9 +8,10 @@ from repro.lang import feedback_from_data, feedback_from_profile, optimize
 from repro.lang.codegen import generate, generate_mapped
 from repro.lang.feedback import ProfileFeedback
 from repro.lang.parser import parse
-from repro.lang.passes import build_pipeline, run_passes
+from repro.lang.passes import CompileState, build_pipeline
 from repro.lang.programs import REL_PROGRAMS
 from repro.machine import Monitor, MonitorConfig, assemble, make_cpu
+from repro.trace import PipelineTrace, run_stages
 
 CYCLES_PER_TICK = 50
 
@@ -80,7 +81,7 @@ class TestCycles:
         fb = ProfileFeedback.from_measurement(
             program, exe, smap, data, CYCLES_PER_TICK
         )
-        optimized, _ = run_passes(program, build_pipeline(0, fb), fb)
+        optimized = optimize(program, level=0, profile=fb)
         order = [fn.name for fn in optimized.functions]
         assert abs(order.index("even") - order.index("odd")) == 1
         # adjacency in declaration order within the group
@@ -146,9 +147,10 @@ class TestZeroSampleProfiles:
         fb = ProfileFeedback.from_measurement(
             program, exe, smap, self._empty_data(exe), CYCLES_PER_TICK
         )
-        optimized, traces = run_passes(program, build_pipeline(0, fb), fb)
-        assert generate(optimized) == generate(program)
-        assert not any(t.counters for t in traces if t.counters)
+        state, trace = CompileState(program, fb), PipelineTrace()
+        run_stages(build_pipeline(0, fb), state, trace)
+        assert generate(state.program) == generate(program)
+        assert trace.counters() == {}
 
 
 class TestDeterminismAndNameLevelPath:
@@ -162,8 +164,8 @@ class TestDeterminismAndNameLevelPath:
         )
         assert fb1.branch_hints == fb2.branch_hints
         assert fb1.arc_counts == fb2.arc_counts
-        out1, _ = run_passes(program, build_pipeline(0, fb1), fb1)
-        out2, _ = run_passes(program, build_pipeline(0, fb2), fb2)
+        out1 = optimize(program, level=0, profile=fb1)
+        out2 = optimize(program, level=0, profile=fb2)
         assert generate(out1) == generate(out2)
 
     def test_name_level_path_has_counts_but_no_branch_hints(self):

@@ -4,21 +4,21 @@ from dataclasses import replace
 
 import pytest
 
-from repro.errors import LangError
+from repro.errors import LangError, StageOrderError
 from repro.lang import ast, optimize
 from repro.lang.codegen import generate
 from repro.lang.parser import parse
 from repro.lang.passes import (
     BranchOrderPass,
+    CompileState,
     ConstFoldPass,
     DeadCodePass,
     HotColdLayoutPass,
     InlinePass,
-    PassTrace,
     build_pipeline,
-    merge_counters,
-    run_passes,
 )
+from repro.lang.pretty import pretty
+from repro.trace import PipelineTrace, StageTrace, run_stages
 
 SRC = """
 func square(x) { return x * x; }
@@ -32,6 +32,13 @@ func main() {
 
 def names(passes):
     return [p.name for p in passes]
+
+
+def run_passes(program, passes, feedback=None, trace=None):
+    """Run ``passes`` over ``program``; return the final tree."""
+    state = CompileState(program, feedback)
+    run_stages(passes, state, trace)
+    return state.program
 
 
 class TestPipelineConstruction:
@@ -65,15 +72,33 @@ class TestPipelineConstruction:
     def test_requires_provides_enforced(self):
         # dead-code requires "folded"; running it alone is a pipeline
         # construction bug, caught up front like the analysis stages.
-        with pytest.raises(LangError, match="requires"):
+        with pytest.raises(
+            StageOrderError, match=r"'dead-code' requires \['folded'\]"
+        ):
             run_passes(parse(SRC), [DeadCodePass()])
 
     def test_traces_and_merge(self):
-        _, traces = run_passes(parse(SRC), build_pipeline(1))
-        assert [t.name for t in traces] == ["const-fold", "dead-code"]
-        assert all(isinstance(t, PassTrace) for t in traces)
-        merged = merge_counters(traces)
+        trace = PipelineTrace()
+        run_passes(parse(SRC), build_pipeline(1), trace=trace)
+        assert trace.stage_names() == ["const-fold", "dead-code"]
+        assert all(isinstance(t, StageTrace) for t in trace.stages)
+        merged = trace.counters()
+        assert merged
         assert all("." in key for key in merged)
+
+    def test_passes_never_mutate_their_input(self):
+        from repro.lang.feedback import ProfileFeedback
+
+        program = parse(SRC)
+        before = pretty(program)
+        fb = ProfileFeedback()
+        for level in (0, 1, 2):
+            for feedback in (None, fb):
+                out = run_passes(
+                    program, build_pipeline(level, feedback), feedback
+                )
+                assert pretty(program) == before
+        assert pretty(out) != before  # -O2 did rewrite the tree
 
 
 class TestFacade:
@@ -128,7 +153,7 @@ class TestHintPreservation:
         return likely, rotate
 
     def test_fold_and_deadcode_keep_hints(self):
-        optimized, _ = run_passes(
+        optimized = run_passes(
             self._hinted(), [ConstFoldPass(), DeadCodePass()]
         )
         likely, rotate = self._hints_of(optimized)
@@ -182,14 +207,15 @@ class TestProfilePassesWithoutData:
     )
     def test_pass_no_ops_on_empty_feedback(self, make_pass):
         program = parse(SRC)
+        state = CompileState(program, self._empty_feedback())
         counters = {}
-        out = make_pass().run(program, self._empty_feedback(), counters)
-        assert generate(out) == generate(program)
+        make_pass().run(state, counters)
+        assert state.program is program
         assert not any(counters.values())
 
     def test_level_0_with_empty_feedback_is_identity(self):
         program = parse(SRC)
-        out, _ = run_passes(
+        out = run_passes(
             program,
             build_pipeline(0, self._empty_feedback()),
             self._empty_feedback(),

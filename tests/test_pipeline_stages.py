@@ -12,6 +12,7 @@ import pytest
 
 from repro.core import AnalysisOptions, analyze
 from repro.core.arcs import RawArc
+from repro.errors import StageOrderError
 from repro.pipeline import (
     GROUPS,
     STAGE_BY_NAME,
@@ -21,13 +22,14 @@ from repro.pipeline import (
     PipelineTrace,
     compute_keys,
     run_analysis,
+    runner,
 )
 from repro.pipeline.cache import (
     digest_histogram,
-    digest_options,
     digest_raw_arcs,
     digest_symbols,
 )
+from repro.trace import check_order, run_stages
 
 from tests.helpers import make_symbols, profile_data
 
@@ -74,11 +76,19 @@ def test_registry_names_are_unique_and_ordered():
 
 def test_registry_dependencies_are_satisfied_in_order():
     """Every stage's ``requires`` is provided by an earlier stage."""
-    provided: set[str] = set()
-    for stage in STAGES:
-        missing = set(stage.requires) - provided
-        assert not missing, f"{stage.name} requires unprovided {missing}"
-        provided |= set(stage.provides)
+    check_order(STAGES)
+
+
+def test_misordered_stage_list_is_rejected_before_running(simple):
+    """The shared order check names the stage and the facts it lacks."""
+    symbols, data = simple
+    state = make_state(symbols, data)
+    start = STAGES.index(STAGE_BY_NAME["number"])
+    with pytest.raises(
+        StageOrderError, match=r"'number' requires \['graph'\]"
+    ):
+        run_stages(STAGES[start:], state)
+    assert state.numbered is None and state.prop is None
 
 
 def test_augment_precedes_numbering():
@@ -90,8 +100,55 @@ def test_augment_precedes_numbering():
 
 
 def test_cache_groups_partition_the_stage_list():
-    covered = [name for group in GROUPS for name in group.stages]
-    assert covered == [s.name for s in STAGES]
+    covered = [stage for group in GROUPS for stage in group.stages]
+    assert covered == list(STAGES)
+
+
+#: The state fields each cache group's stages provide, first writer first.
+GROUP_FIELDS = {
+    "arcs": ["symbolized", "arcs"],
+    "self_times": ["spans", "self_times"],
+    "numbered": ["graph", "removed", "numbered"],
+    "prop": ["prop"],
+    "profile": ["profile"],
+}
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.kind)
+def test_cold_record_holds_exactly_the_provided_fields(simple, group):
+    symbols, data = simple
+    cache = AnalysisCache()
+    run_analysis(data, symbols, AnalysisOptions(), cache=cache)
+    keys = compute_keys(make_state(symbols, data))
+    fields, _warnings, journal = cache.get(group.kind, keys[group.kind])
+    assert list(fields) == GROUP_FIELDS[group.kind]
+    assert all(value is not None for value in fields.values())
+    assert len(journal) == len(group.stages)
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.kind)
+def test_warm_run_restores_the_stored_objects(simple, group, monkeypatch):
+    symbols, data = simple
+    states = []
+
+    class Recording(PipelineState):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            states.append(self)
+
+    monkeypatch.setattr(runner, "PipelineState", Recording)
+    cache = AnalysisCache()
+    run_analysis(data, symbols, AnalysisOptions(), cache=cache)
+    trace = PipelineTrace()
+    run_analysis(data, symbols, AnalysisOptions(), trace=trace, cache=cache)
+    assert (trace.cache_hits, trace.cache_misses) == (len(GROUPS), 0)
+    cold, warm = states
+    fields, _warnings, _journal = cache.get(
+        group.kind, compute_keys(warm)[group.kind]
+    )
+    for name, value in fields.items():
+        assert getattr(cold, name) is value
+        assert getattr(warm, name) is value
 
 
 # -- individual stage contracts --------------------------------------------
@@ -247,12 +304,19 @@ def test_digest_covers_every_input(simple):
     assert digest_histogram(data.histogram) != hist_base
 
 
-def test_digest_options_is_order_sensitive():
-    """Arc/exclusion order can break presentation ties, so option
-    sequences are digested in the order given, not sorted."""
-    a = AnalysisOptions(excluded=["x", "y"])
-    b = AnalysisOptions(excluded=["y", "x"])
-    assert digest_options(a) != digest_options(b)
+def test_numbered_key_is_order_sensitive(simple):
+    """Arc order can break presentation ties, so option sequences are
+    folded into the keys in the order given, not sorted."""
+    symbols, data = simple
+    pairs = [("main", "work"), ("work", "leaf")]
+    a = compute_keys(
+        make_state(symbols, data, AnalysisOptions(deleted_arcs=pairs))
+    )
+    b = compute_keys(
+        make_state(symbols, data, AnalysisOptions(deleted_arcs=pairs[::-1]))
+    )
+    assert a["arcs"] == b["arcs"]
+    assert a["numbered"] != b["numbered"]
 
 
 def test_compute_keys_change_with_their_inputs(simple):

@@ -87,6 +87,7 @@ def check_executable(
     gmon_labels: Iterable[str] = (),
     flow: bool = False,
     flow_analysis: FlowAnalysis | None = None,
+    options=None,
     cache=None,
 ) -> CheckReport:
     """Run every applicable check over ``exe`` (and optional profiles).
@@ -104,6 +105,10 @@ def check_executable(
         flow_analysis: an already-computed :class:`FlowAnalysis` to
             reuse (implies ``flow``); :meth:`ProfileSession.lint`
             passes its cache-memoized one.
+        options: the :class:`~repro.core.AnalysisOptions` the GP5xx
+            pipeline lint analyzes with (the defaults when None);
+            ``repro-gprof --lint`` passes the listing's, so the lint
+            checks the analysis it lists.
         cache: an :class:`~repro.pipeline.AnalysisCache` for the
             GP5xx pipeline lint's analysis; :meth:`ProfileSession.lint`
             passes its session cache, so the listing rendered after
@@ -128,7 +133,7 @@ def check_executable(
     for label, data in zip(labels, profiles):
         per_profile = consistency_passes(exe, data)
         per_profile += profile_passes(exe, data)
-        per_profile += pipeline_passes(symbols, data, cache=cache)
+        per_profile += pipeline_passes(symbols, data, options, cache=cache)
         if flow_analysis is not None:
             per_profile += expect_passes(exe, data, flow_analysis)
         diagnostics += [

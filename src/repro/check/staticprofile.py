@@ -40,6 +40,9 @@ from dataclasses import dataclass, field
 from repro.check.absint import ValueResult, address_taken
 from repro.check.cfg import RoutineCFG
 from repro.check.dominators import DomTree, LoopForest
+from repro.core.arcs import Arc
+from repro.core.callgraph import CallGraph
+from repro.core.cycles import strongly_connected_components
 from repro.machine.executable import Executable
 from repro.machine.isa import COSTS, INSTRUCTION_SIZE, Op
 
@@ -283,58 +286,6 @@ def _routine_sites(
 # ------------------------------------------------------- activation propagation
 
 
-def _tarjan_sccs(
-    nodes: list[str], edges: dict[str, list[str]]
-) -> list[list[str]]:
-    """Strongly-connected components, iteratively, in reverse
-    topological order of the condensation (callees before callers)."""
-    index_of: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    sccs: list[list[str]] = []
-    counter = 0
-
-    for root in nodes:
-        if root in index_of:
-            continue
-        work: list[tuple[str, int]] = [(root, 0)]
-        while work:
-            node, ei = work.pop()
-            if ei == 0:
-                index_of[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            succs = edges.get(node, [])
-            while ei < len(succs):
-                succ = succs[ei]
-                ei += 1
-                if succ not in index_of:
-                    work.append((node, ei))
-                    work.append((succ, 0))
-                    advanced = True
-                    break
-                if succ in on_stack:
-                    low[node] = min(low[node], index_of[succ])
-            if advanced:
-                continue
-            if low[node] == index_of[node]:
-                comp = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    comp.append(member)
-                    if member == node:
-                        break
-                sccs.append(sorted(comp))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-    return sccs
-
-
 def _propagate_activations(
     exe: Executable, profile: StaticProfile
 ) -> None:
@@ -354,7 +305,11 @@ def _propagate_activations(
     for n in names:
         edges[n] = sorted(set(edges[n]))
 
-    sccs = _tarjan_sccs(names, edges)
+    graph = CallGraph(
+        (Arc(caller, callee, 0) for caller in names for callee in edges[caller]),
+        extra_nodes=names,
+    )
+    sccs = [sorted(comp) for comp in strongly_connected_components(graph)]
     sccs.reverse()  # callers before callees
     scc_of: dict[str, int] = {}
     for i, comp in enumerate(sccs):

@@ -171,21 +171,6 @@ def main(argv: list[str] | None = None) -> int:
         for _path, salvage_report in session.salvage_reports:
             if not salvage_report.clean:
                 print(salvage_report.render_text(), end="", file=sys.stderr)
-        if opts.lint or opts.expect:
-            if exe is None:
-                flag = "--expect" if opts.expect else "--lint"
-                raise ReproError(f"{flag} needs a VM executable image")
-            report = session.lint(
-                [data], ["<summed gmon>"], flow=opts.expect
-            )
-            if len(report):
-                print(report.render_text(), end="", file=sys.stderr)
-        if opts.sum_file:
-            write_gmon(data, opts.sum_file)
-            print(
-                f"summed {len(session.paths)} profile(s) into {opts.sum_file}"
-            )
-            return 0
         deleted = []
         for spec in opts.delete_arcs:
             if "/" not in spec:
@@ -197,18 +182,30 @@ def main(argv: list[str] | None = None) -> int:
             if exe is None:
                 raise ReproError("--static needs a VM executable image")
             static_pairs = sorted(static_call_graph(exe))
-        trace = PipelineTrace() if (opts.timings or opts.trace) else None
-        profile = session.analyze(
-            data,
-            AnalysisOptions(
-                static_arcs=static_pairs,
-                deleted_arcs=deleted,
-                auto_break_cycles=opts.break_cycles is not None,
-                max_removed_arcs=opts.break_cycles or 10,
-                excluded=opts.exclude,
-            ),
-            trace=trace,
+        options = AnalysisOptions(
+            static_arcs=static_pairs,
+            deleted_arcs=deleted,
+            auto_break_cycles=opts.break_cycles is not None,
+            max_removed_arcs=opts.break_cycles or 10,
+            excluded=opts.exclude,
         )
+        if opts.lint or opts.expect:
+            if exe is None:
+                flag = "--expect" if opts.expect else "--lint"
+                raise ReproError(f"{flag} needs a VM executable image")
+            report = session.lint(
+                [data], ["<summed gmon>"], flow=opts.expect, options=options
+            )
+            if len(report):
+                print(report.render_text(), end="", file=sys.stderr)
+        if opts.sum_file:
+            write_gmon(data, opts.sum_file)
+            print(
+                f"summed {len(session.paths)} profile(s) into {opts.sum_file}"
+            )
+            return 0
+        trace = PipelineTrace() if (opts.timings or opts.trace) else None
+        profile = session.analyze(data, options, trace=trace)
         if trace is not None:
             if opts.timings:
                 print(trace.render_text(), end="", file=sys.stderr)

@@ -34,29 +34,34 @@ state lives in closure cells bound once per CPU, not in attribute
 lookups repeated per instruction.
 
 **Event horizons (batched clocks).**  The per-instruction clock work is
-hoisted out of the dispatch loop: the run loop computes the next event
-cycle once — the next profiling tick, the next interrupt delivery, the
-``max_cycles`` budget — and burns straight-line instructions against a
-local cycle counter until an instruction would cross it.  A stock
-:meth:`Monitor.tick` touches nothing but the monitor, so the loop fires
-it itself: the crossing instruction runs on the fast path, then every
-tick its charge reached fires at its pc, in ``step()``'s order, and
-dispatch resumes against the next tick.  The reference ``step()`` (the
-*careful* path) is kept for the instruction that reaches an interrupt's
-due cycle or the ``max_cycles`` budget, for monitors that override
-``tick`` (stack walks read and charge the CPU), and for anything
-predecode deferred.  Tick placement is re-implemented here, so it is the
-differential suite, not construction, that makes it identical.
+hoisted out of the dispatch loop: the run loop computes one event
+horizon — the next profiling tick, the next interrupt delivery or the
+``max_cycles`` budget, whichever comes first — and burns straight-line
+instructions against a local cycle counter until an instruction's charge
+reaches it.  That instruction runs on the fast path too.  Then the
+monitor's own ``tick`` fires once for each tick the charge reached, at
+the instruction's pc and in ``step()``'s order.  The registers are
+written back first and the clock is re-read afterwards, so a tick that
+reads the machine or charges it (a stack walk) sees and leaves the
+reference state.  A charge, walks included, that reached an interrupt's
+due cycle or the budget returns to the top of the run loop, which checks
+budgets and delivers interrupts in the reference ``run()``/``step()``
+order.  The reference ``step()`` runs only what predecode deferred.
+Tick placement is re-implemented here, so it is the differential suite,
+not construction, that makes it identical.
 
 ``MCOUNT`` — the monitoring routine, executed on every profiled call —
-gets an inlined fast path for §3.1's "usually one" case: when the call
-site's secondary chain exists and its head record is this callee, the
-arc count is a direct head bump (one dict probe, no scan, no
-allocation).  The head entry of a chain never moves (records are
-appended, never reordered), so consulting the live table keeps this
+is committed against the monitor's process-local, site-keyed
+:class:`~repro.machine.mcount.ArcTable` before the crossing check, as
+``step()`` commits it before charging.  §3.1's "usually one" case is
+inlined: when the call site's secondary chain exists and its head record
+is this callee, the arc count is a direct head bump (one dict probe, no
+scan, no allocation).  The head entry of a chain never moves (records
+are appended, never reordered), so consulting the live table keeps this
 memo coherent across ``kgmon``-style mid-run resets.  Multi-callee
-sites, first calls, and spontaneous invocations fall through to
-:meth:`ArcTable.record`.
+sites, first calls, and spontaneous invocations run
+:meth:`Monitor.mcount` itself.  Either way the monitor's ``arc_sink``
+(an SMP shard's buffer) receives the arc too.
 """
 
 from __future__ import annotations
@@ -70,11 +75,7 @@ from repro.machine.isa import (
     OPERAND_OPS,
     Op,
 )
-from repro.machine.mcount import (
-    MCOUNT_BASE_COST,
-    MCOUNT_PROBE_COST,
-    ArcTable,
-)
+from repro.machine.mcount import MCOUNT_BASE_COST, MCOUNT_PROBE_COST
 from repro.machine.monitor import Monitor
 
 #: Opcode numbering for the dispatch table: plain ops first, then the
@@ -547,29 +548,23 @@ class FastCPU(CPU):
         has_irqs = bool(self._interrupts)
         frames = self.frames
 
-        # The stock tick touches nothing but the monitor, so the loop
-        # fires it itself; an override (stack walks that read and
-        # charge the CPU, shard counters, locks) keeps the reference
-        # step() for the instruction that crosses its tick.
-        loop_ticks = monitor is not None and type(monitor).tick is Monitor.tick
-        tick = monitor.tick if loop_ticks else None
+        # Every monitor's own hooks fire from the loop: ``tick`` at each
+        # elapsed tick, the monitoring routine at each MCOUNT.  The
+        # arc's cost always comes from the process-local site-keyed
+        # table, whose head records the loop bumps itself.
+        tick = mcount = sink = stats = get_chain = None
+        if monitor is not None:
+            tick = monitor.tick
+            mcount = monitor.mcount
+            sink = monitor.arc_sink
+            stats = monitor.arc_table.stats
+            # The live table, read on every MCOUNT: a chain's head
+            # record never moves (records are appended, never
+            # reordered), so a head bump stays correct across
+            # kgmon-style mid-run resets.
+            get_chain = monitor.arc_table._table.get
         interval = self._tick_interval
-
-        # MCOUNT inlining is only sound against the stock table (the
-        # callee-keyed ablation lacks the site-keyed chain layout) and
-        # the stock monitoring routine (a subclass override must see
-        # every invocation); anything else routes through step().
-        arc_table = monitor.arc_table if monitor is not None else None
-        inline_mcount = (
-            type(arc_table) is ArcTable
-            and type(monitor).mcount is Monitor.mcount
-        )
-        stats = arc_table.stats if arc_table is not None else None
         head_cost = MCOUNT_BASE_COST + MCOUNT_PROBE_COST
-        # The live table, read on every MCOUNT: a chain's head record
-        # never moves (records are appended, never reordered), so a
-        # head bump stays correct across kgmon-style mid-run resets.
-        get_chain = arc_table._table.get if arc_table is not None else None
 
         # Local mirrors of the mutable machine registers.  ``trap``
         # holds a pc the reference engine would fault fetching; the
@@ -587,12 +582,9 @@ class FastCPU(CPU):
         c = cycles  # last attempted charge, for the halt paths
 
         def careful(idx: int, cycles: int, n: int):
-            """Execute one instruction via the reference ``step()``.
+            """Execute one DEFER op via the reference ``step()``.
 
-            Used for the instruction that reaches an interrupt's due
-            cycle, the cycle budget, or a non-stock monitor's tick, and
-            for everything predecode lowered to DEFER.  Returns
-            re-derived ``(idx, cycles, n, trap)``.
+            Returns re-derived ``(idx, cycles, n, trap)``.
             """
             nonlocal ref_state
             self.pc = idx * isize
@@ -606,14 +598,14 @@ class FastCPU(CPU):
                 return 0, self.cycles, self.instructions_executed, self.pc
             return q, self.cycles, self.instructions_executed, None
 
-        def fire(at: int, pc: int, cycles: int, n: int) -> int:
-            """Fire the stock ticks the instruction at index ``at``
-            reached, as ``step()`` does once it has run and charged it;
-            returns the next tick cycle.
+        def fire(at: int, pc: int, cycles: int, n: int) -> tuple[int, int]:
+            """Fire the ticks the instruction at index ``at`` reached, as
+            ``step()`` does once it has run and charged it; returns the
+            re-read ``(cycles, next tick)``.
 
-            The registers are written back first, so a tick that raises
-            (a killed checkpoint flush) leaves the reference engine's
-            machine state behind.
+            The registers are written back first: a tick may raise (a
+            killed checkpoint flush) or read the machine and charge it
+            (a stack walk, through ``charge_overhead``).
             """
             nonlocal ref_state
             self.pc = pc
@@ -624,10 +616,11 @@ class FastCPU(CPU):
             next_tick = self._next_tick
             while next_tick <= cycles:
                 tick(at_pc)
-                next_tick += interval
+                next_tick = self._next_tick + interval
                 self._next_tick = next_tick
+                cycles = self.cycles
             ref_state = False
-            return next_tick
+            return cycles, next_tick
 
         try:
             while not self.halted:
@@ -654,24 +647,18 @@ class FastCPU(CPU):
                         f"fetch accepted trap pc {trap:#x}"
                     )
 
-                # The event horizons.  An instruction whose charge
-                # reaches ``limit`` (an interrupt falls due, the cycle
-                # budget runs out, a non-stock monitor ticks) runs
-                # through careful(); one that reaches only ``tick_at``
-                # runs on the fast path and then fires the stock ticks.
+                # The event horizon: the next tick or ``limit`` (an
+                # interrupt falls due, the cycle budget runs out),
+                # whichever comes first.  The instruction whose charge
+                # reaches it runs on the fast path, then its ticks fire;
+                # one that reached ``limit`` comes back up here.
                 limit = _NO_EVENT
-                tick_at = _NO_EVENT
-                if loop_ticks:
-                    tick_at = self._next_tick
-                elif monitor is not None:
-                    limit = self._next_tick
                 if has_irqs and not self._irq_active:
-                    due = min(self._next_irq)
-                    if due < limit:
-                        limit = due
+                    limit = min(self._next_irq)
                 if max_cycles is not None and max_cycles < limit:
                     limit = max_cycles
-                horizon = tick_at if tick_at < limit else limit
+                next_tick = self._next_tick if monitor is not None else _NO_EVENT
+                horizon = next_tick if next_tick < limit else limit
 
                 try:
                     while n != stop_n:
@@ -680,92 +667,49 @@ class FastCPU(CPU):
                         if c >= horizon or op >= EVENT_MIN:
                             if op == OP_MCOUNT:
                                 if monitor is None or not monitor.enabled:
-                                    # Zero cost: cannot cross an event.
+                                    # Zero cost: cannot reach the horizon.
                                     n += 1
                                     idx += 1
                                     continue
-                                if not inline_mcount:
-                                    idx, cycles, n, trap = careful(
-                                        idx, cycles, n
-                                    )
-                                    break
+                                # Commit, then price the crossing check,
+                                # as step() does.
                                 self_pc = idx * isize
                                 frame = frames[-1]
                                 ra = frame.return_addr
                                 if ra is None or frame.interrupted:
-                                    from_pc = None
-                                    chain = get_chain(0)
+                                    from_pc = chain = None
                                 else:
                                     from_pc = ra - isize
                                     chain = get_chain(from_pc)
-                                if (
-                                    from_pc is not None
-                                    and chain is not None
-                                    and chain[0][0] == self_pc
-                                ):
+                                if chain is not None and chain[0][0] == self_pc:
                                     # §3.1's "usually one": head bump, no
                                     # scan, no allocation.
-                                    c = cycles + head_cost
-                                    if c >= limit:
-                                        idx, cycles, n, trap = careful(
-                                            idx, cycles, n
-                                        )
-                                        break
                                     chain[0][1] += 1
                                     stats.lookups += 1
                                     stats.probes += 1
+                                    c = cycles + head_cost
+                                    if sink is not None:
+                                        sink(from_pc, self_pc)
                                 else:
-                                    # First call from this site, secondary
-                                    # collision, or spontaneous: peek the
-                                    # probe count record() will report, to
-                                    # price the crossing check, then
-                                    # commit through the real monitoring
-                                    # routine.
-                                    probes = 1
-                                    if chain:
-                                        probes = len(chain) + 1
-                                        for j, entry in enumerate(chain):
-                                            if entry[0] == self_pc:
-                                                probes = j + 1
-                                                break
-                                    c = (
-                                        cycles
-                                        + MCOUNT_BASE_COST
-                                        + MCOUNT_PROBE_COST * probes
-                                    )
-                                    if c >= limit:
-                                        idx, cycles, n, trap = careful(
-                                            idx, cycles, n
-                                        )
-                                        break
-                                    monitor.mcount(from_pc, self_pc)
+                                    c = cycles + mcount(from_pc, self_pc)
                                 n += 1
                                 idx += 1
+                                if c < horizon:
+                                    cycles = c
+                                    continue
+                                at = idx - 1
                             elif op < EVENT_MIN:
-                                if c >= limit:
-                                    idx, cycles, n, trap = careful(
-                                        idx, cycles, n
-                                    )
-                                    break
-                                # Reaches a stock tick only: run it,
-                                # then fire.  A crossing HALT or RET
-                                # fires its ticks in the handlers below.
-                                n += 1
                                 at = idx
-                                idx = handlers[op](args[idx], idx)
-                                cycles = c
-                                tick_at = fire(at, idx * isize, c, n)
-                                horizon = tick_at if tick_at < limit else limit
-                                continue
+                                n += 1
+                                idx = handlers[op](args[at], at)
                             elif op == OP_WORK:
                                 c += args[idx]
-                                if c >= limit:
-                                    idx, cycles, n, trap = careful(
-                                        idx, cycles, n
-                                    )
-                                    break
                                 n += 1
                                 idx += 1
+                                if c < horizon:
+                                    cycles = c
+                                    continue
+                                at = idx - 1
                             elif op == OP_DEFER:
                                 idx, cycles, n, trap = careful(idx, cycles, n)
                                 break
@@ -784,11 +728,15 @@ class FastCPU(CPU):
                                 raise AssertionError(  # pragma: no cover
                                     f"fetch accepted pc {self.pc:#x}"
                                 )
-                            # An MCOUNT or WORK ran on the fast path.
+                            # The instruction at ``at`` reached the
+                            # horizon.  A crossing HALT or RET fires its
+                            # ticks in the handlers below.
                             cycles = c
-                            if c >= tick_at:
-                                tick_at = fire(idx - 1, idx * isize, c, n)
-                                horizon = tick_at if tick_at < limit else limit
+                            if c >= next_tick:
+                                cycles, next_tick = fire(at, idx * isize, c, n)
+                            if cycles >= limit:
+                                break
+                            horizon = next_tick if next_tick < limit else limit
                             continue
                         n += 1
                         idx = handlers[op](args[idx], idx)
@@ -800,13 +748,13 @@ class FastCPU(CPU):
                     cycles = c
                     idx += 1
                     self.halted = True
-                    if c >= tick_at:
-                        fire(idx - 1, idx * isize, c, n)
+                    if c >= next_tick:
+                        cycles = fire(idx - 1, idx * isize, c, n)[0]
                     break
                 except _Resync as resync:
                     cycles = c
-                    if c >= tick_at:
-                        fire(idx, resync.addr, c, n)
+                    if c >= next_tick:
+                        cycles = fire(idx, resync.addr, c, n)[0]
                     q, r = divmod(resync.addr, isize)
                     if r or q < 0 or q > n_instr:
                         trap = resync.addr
@@ -814,8 +762,8 @@ class FastCPU(CPU):
                     else:
                         idx = q
                         trap = None
-                # Fall through: careful() executed the crossing
-                # instruction, the instruction budget ran out, or an
+                # Fall through: the charge reached ``limit``, a DEFER
+                # op ran, the instruction budget ran out, or an
                 # interrupt handler returned — recompute and continue.
         except BaseException:
             if not ref_state:

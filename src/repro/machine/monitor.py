@@ -104,6 +104,13 @@ class Monitor:
     costs the program nothing, as in the kernel-maintained original) and
     :meth:`mcount` from every profiled prologue (which *does* cost
     cycles — the return value is the simulated cost the CPU charges).
+
+    Attributes:
+        arc_table: the process-local, site-keyed §3.1 table; it prices
+            every arc.
+        arc_sink: None, or a ``(from_pc, self_pc)`` callable that also
+            receives every recorded arc (an SMP process's monitor points
+            it at the executing CPU's shard).
     """
 
     def __init__(self, config: MonitorConfig):
@@ -113,6 +120,7 @@ class Monitor:
         )
         self._fast_bucket = _fast_bucket_params(self.histogram)
         self.arc_table = ArcTable()
+        self.arc_sink = None
         self.enabled = True
         self.ticks_dropped = 0
         self._checkpoint_path: str | None = None
@@ -157,11 +165,16 @@ class Monitor:
 
         Returns the simulated cycle cost (0 when profiling is off — the
         prologue still tests the enable flag, which we price at zero for
-        simplicity; unprofiled *builds* have no prologue at all).
+        simplicity; unprofiled *builds* have no prologue at all).  The
+        cost comes from :attr:`arc_table`; :attr:`arc_sink`, when set,
+        receives the arc too.
         """
         if not self.enabled:
             return 0
-        return self.arc_table.record(from_pc, self_pc)
+        cost = self.arc_table.record(from_pc, self_pc)
+        if self.arc_sink is not None:
+            self.arc_sink(from_pc, self_pc)
+        return cost
 
     def rebind_histogram(self, histogram: Histogram) -> None:
         """Point the tick hot path at a different histogram.

@@ -11,8 +11,11 @@ CPUs the way the real kernels did:
   (:class:`~repro.machine.mcount.ArcBuffer`).  A profiling event —
   a PC sample at a clock tick, an arc traversal in the monitoring
   routine — is recorded into the shard of the CPU executing the
-  process *at that moment*.  A shard is touched by exactly one CPU, so
-  the hot path takes no cross-CPU lock (the
+  process *at that moment*: each dispatch re-aims the process's
+  :class:`ShardedMonitor` at the CPU's shard, whose histogram takes the
+  ticks and whose buffer the monitor's ``arc_sink`` feeds.  Both engines
+  fire these hooks from their own dispatch loops.  A shard is touched
+  by exactly one CPU, so the hot path takes no cross-CPU lock (the
   :class:`GlobalLockMonitor` strawman quantifies what one would cost).
 
 * **Deterministic virtual time.**  Every process keeps its own cycle
@@ -143,15 +146,14 @@ def reduce_shards(
 class ShardedMonitor(Monitor):
     """A per-process monitor that records into the executing CPU's shard.
 
-    The inherited tick path writes into ``self.histogram``, which
-    :meth:`bind` re-aims at the current shard on every dispatch.  The
-    monitoring routine is split: ``self.arc_table`` (the inherited
-    private table) is consulted only for the §3.1 lookup *cost* — and
-    for the per-process probe statistics — while the traversal count
-    itself goes to the shard's arc buffer.  The private table survives
-    kgmon resets, like the kernel's statically allocated mcount arrays,
-    which keeps process virtual time independent of the extraction
-    schedule.
+    :meth:`bind` re-aims it at the current shard on every dispatch: the
+    inherited tick path writes into ``self.histogram``, and
+    ``arc_sink`` copies each arc into the shard's buffer.  The §3.1
+    lookup *cost* — and the per-process probe statistics — still come
+    from ``self.arc_table``, the inherited private table, which survives
+    kgmon resets like the kernel's statically allocated mcount arrays.
+    That keeps process virtual time independent of the CPU and of the
+    extraction schedule.
     """
 
     def __init__(self, config: MonitorConfig):
@@ -162,19 +164,16 @@ class ShardedMonitor(Monitor):
         """Aim tick and arc recording at ``shard`` (dispatch time)."""
         self._shard = shard
         self.rebind_histogram(shard.histogram)
+        self.arc_sink = self._arc_sink(shard)
+
+    def _arc_sink(self, shard: CPUShard):
+        """The monitoring routine's copy of each arc: the shard's buffer."""
+        return shard.arcs.record
 
     @property
     def shard(self) -> CPUShard | None:
         """The currently bound shard (None before first dispatch)."""
         return self._shard
-
-    def mcount(self, from_pc: int | None, self_pc: int) -> int:
-        """Record an arc into the bound shard; charge process-local cost."""
-        if not self.enabled:
-            return 0
-        cost = self.arc_table.record(from_pc, self_pc)
-        self._shard.arcs.record(from_pc, self_pc)
-        return cost
 
     def tick(self, pc: int) -> None:
         shard = self._shard
@@ -198,22 +197,28 @@ class ShardedMonitor(Monitor):
 class GlobalLockMonitor(ShardedMonitor):
     """The strawman: one shared shard, one lock, taken per event.
 
-    Every tick and every monitoring-routine invocation acquires a real
-    ``threading.Lock`` before touching the single machine-wide buffer —
-    what a naive SMP port of the §3 data gathering would do.  The
-    recorded *data* is identical to the sharded layout's merge (the
-    byte-identity gate in ``benchmarks/bench_smp.py`` checks exactly
-    that); only the cost differs, which is the point of the T-SMP
-    benchmark's sharded-vs-global-lock comparison.
+    Every tick and every arc copied into the single machine-wide buffer
+    acquires a real ``threading.Lock`` — what a naive SMP port of the §3
+    data gathering would do.  The recorded *data* is identical to the
+    sharded layout's merge (the byte-identity gate in
+    ``benchmarks/bench_smp.py`` checks exactly that); only the cost
+    differs, which is the point of the T-SMP benchmark's
+    sharded-vs-global-lock comparison.
     """
 
     def __init__(self, config: MonitorConfig, lock: threading.Lock):
         super().__init__(config)
         self._lock = lock
 
-    def mcount(self, from_pc: int | None, self_pc: int) -> int:
-        with self._lock:
-            return super().mcount(from_pc, self_pc)
+    def _arc_sink(self, shard: CPUShard):
+        lock = self._lock
+        record = shard.arcs.record
+
+        def locked_record(from_pc: int | None, self_pc: int) -> None:
+            with lock:
+                record(from_pc, self_pc)
+
+        return locked_record
 
     def tick(self, pc: int) -> None:
         with self._lock:

@@ -152,7 +152,7 @@ class ProfileSession:
 
     # -- checking --------------------------------------------------------
 
-    def lint(self, profiles, labels, *, flow: bool = False):
+    def lint(self, profiles, labels, *, flow: bool = False, options=None):
         """Run the full :mod:`repro.check` battery against this image.
 
         Requires a VM executable.  The report folds in every GP4xx
@@ -160,9 +160,9 @@ class ProfileSession:
         set, the dataflow battery (GP601–GP605) and the per-profile
         expectation checks (GP610–GP612) run too, reusing this
         session's memoized :meth:`flow` analysis.  The GP5xx pipeline
-        lint analyzes each profile with default options through the
-        session cache, so a later :meth:`analyze` with the same
-        options replays it.
+        lint analyzes each profile with ``options`` (the defaults when
+        None) through the session cache, so a later :meth:`analyze`
+        with the same options replays it.
         """
         from repro.check import CheckReport, check_executable
         from repro.check.diagnostics import merge_reports
@@ -173,6 +173,7 @@ class ProfileSession:
         report = check_executable(
             self.exe, profiles, labels, flow=flow,
             flow_analysis=self.flow() if flow else None,
+            options=options,
             cache=self.cache,
         )
         if self.gmon_diagnostics:

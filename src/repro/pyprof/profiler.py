@@ -36,13 +36,13 @@ from repro.core.profiledata import ProfileData
 from repro.core.symbols import SymbolTable
 from repro.errors import ProfilerError
 from repro.pyprof.addresses import FUNC_SIZE, AddressSpace
-from repro.pyprof.sampler import SampleStore, SignalSampler, ThreadSampler
+from repro.pyprof.sampler import SAMPLING_MODES, Sampler, SampleStore
 from repro.pyprof.tracer import TraceCollector
 
 #: In exact mode, one histogram tick is one microsecond of self time.
 EXACT_PROFRATE = 1_000_000
 
-MODES = ("exact", "signal", "thread")
+MODES = ("exact", *SAMPLING_MODES)
 
 
 class Profiler:
@@ -76,12 +76,10 @@ class Profiler:
             self.space, measure_time=(mode == "exact"), clock=clock
         )
         self._store = SampleStore(self.space, record_lines=record_lines)
-        if mode == "signal":
-            self._sampler = SignalSampler(self._store, interval)
-        elif mode == "thread":
-            self._sampler = ThreadSampler(self._store, interval)
-        else:
-            self._sampler = None
+        self._sampler = (
+            None if mode == "exact"
+            else Sampler(self._store.sample_frame, interval, mode)
+        )
         self._enabled = False
         self._ever_enabled = False
 

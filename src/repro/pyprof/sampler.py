@@ -1,21 +1,27 @@
-"""Statistical PC sampling for Python programs (§3.2).
+"""Statistical sampling for Python programs (§3.2).
 
 The paper's preferred method "samples the value of the program counter
 at some interval, and infers execution time from the distribution of
-the samples".  Two implementations are provided:
+the samples".  :class:`Sampler` is the one profiling clock; at every
+tick it hands the interrupted frame to a *sink*.  It has two modes:
 
-* :class:`SignalSampler` — the faithful one: ``setitimer(ITIMER_PROF)``
-  delivers SIGPROF as *CPU time* elapses, exactly like the original
-  kernel's clock-tick histogram ("alarm clock interrupts that run
-  relative to program time").  Main-thread, Unix only.
-* :class:`ThreadSampler` — a portable fallback: a daemon thread wakes
-  every ``interval`` wall-clock seconds and samples the target thread's
-  current frame via ``sys._current_frames()``.
+* ``"signal"`` — the faithful one: ``setitimer(ITIMER_PROF)`` delivers
+  SIGPROF as *CPU time* elapses, exactly like the original kernel's
+  clock-tick histogram ("alarm clock interrupts that run relative to
+  program time").  Main-thread, Unix only.
+* ``"thread"`` — a portable fallback: a daemon thread wakes every
+  ``interval`` wall-clock seconds and samples the target thread's
+  current frame via ``sys._current_frames()``.  Wall-clock ticks also
+  land while the target is blocked — closer to elapsed-time profiling,
+  which the paper notes "is complicated on time-sharing systems".
 
-Both charge each sample to the code object executing at the tick, at an
-address inside that routine's block, accumulating the histogram the
-post-processor expects.  Samples are counted, never traced — keeping
-run-time cost per tick tiny, as §3.2 demands.
+Two sinks use it.  :meth:`SampleStore.sample_frame` charges each tick
+to the code object executing at the tick, at an address inside that
+routine's block, accumulating the histogram the post-processor expects
+(:class:`~repro.pyprof.profiler.Profiler`'s sampling modes).
+:class:`~repro.stacks.pysampler.PyStackSampler` records the whole
+stack, whose leaf is the same sample.  Samples are counted, never
+traced — keeping run-time cost per tick tiny, as §3.2 demands.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import signal
 import sys
 import threading
 from collections import Counter
+from collections.abc import Callable
 from types import FrameType
 
 from repro.errors import ProfilerError
@@ -32,7 +39,7 @@ from repro.pyprof.tracer import _module_of, is_internal_code
 
 
 class SampleStore:
-    """Tick counts per synthetic address, shared by the samplers.
+    """Tick counts per synthetic address: the PC-sample sink.
 
     With ``record_lines=True`` each sample is additionally charged to
     its ``(filename, line number)`` — the raw material of annotated
@@ -66,93 +73,89 @@ class SampleStore:
             self.line_ticks[(code.co_filename, frame.f_lineno)] += 1
 
 
-class SignalSampler:
-    """SIGPROF-driven sampler: ticks follow consumed CPU time.
+#: The sampler's clocks: SIGPROF on consumed CPU time, or a wall-clock
+#: thread.
+SAMPLING_MODES = ("signal", "thread")
+
+
+class Sampler:
+    """A profiling clock that hands each tick's frame to ``sink``.
 
     Arguments:
-        store: where ticks accumulate.
-        interval: profiling clock period in (CPU) seconds.  1/60 s is
-            the paper's clock; modern machines afford far finer.
+        sink: called with the sampled frame (None when the target has
+            none) at every tick.
+        interval: profiling clock period in seconds.  1/60 s is the
+            paper's clock; modern machines afford far finer.
+        mode: ``"signal"`` (SIGPROF / CPU time, Unix main thread) or
+            ``"thread"`` (wall clock, portable; samples the thread that
+            called :meth:`start`).
+
+    Usable as a context manager.
     """
 
-    def __init__(self, store: SampleStore, interval: float = 0.001):
+    def __init__(
+        self,
+        sink: Callable[[FrameType | None], None],
+        interval: float = 0.001,
+        mode: str = "signal",
+    ):
         if interval <= 0:
             raise ProfilerError(f"interval must be positive, got {interval}")
-        self.store = store
+        if mode not in SAMPLING_MODES:
+            raise ProfilerError(f"unknown mode {mode!r}")
+        self.sink = sink
         self.interval = interval
+        self.mode = mode
         self._previous_handler = None
-        self.active = False
-
-    def start(self) -> None:
-        """Install the SIGPROF handler and arm the profiling itimer."""
-        if threading.current_thread() is not threading.main_thread():
-            raise ProfilerError("SignalSampler must start on the main thread")
-        self._previous_handler = signal.signal(signal.SIGPROF, self._on_tick)
-        signal.setitimer(signal.ITIMER_PROF, self.interval, self.interval)
-        self.active = True
-
-    def stop(self) -> None:
-        """Disarm the itimer and restore the previous handler."""
-        if not self.active:
-            return
-        signal.setitimer(signal.ITIMER_PROF, 0.0)
-        signal.signal(signal.SIGPROF, self._previous_handler or signal.SIG_DFL)
-        self.active = False
-
-    def _on_tick(self, signum, frame: FrameType | None) -> None:
-        self.store.sample_frame(frame)
-
-    @property
-    def profrate(self) -> int:
-        """Nominal ticks per second."""
-        return max(round(1.0 / self.interval), 1)
-
-
-class ThreadSampler:
-    """Wall-clock sampler thread: portable, slightly less faithful.
-
-    Samples the *target* thread (by default, whichever thread called
-    :meth:`start`) on a fixed wall-clock period.  Unlike SIGPROF ticks,
-    wall-clock ticks also land while the target is blocked — closer to
-    elapsed-time profiling, which the paper notes "is complicated on
-    time-sharing systems"; prefer :class:`SignalSampler` when available.
-    """
-
-    def __init__(self, store: SampleStore, interval: float = 0.001):
-        if interval <= 0:
-            raise ProfilerError(f"interval must be positive, got {interval}")
-        self.store = store
-        self.interval = interval
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         self._target_id: int | None = None
+        self.active = False
 
     def start(self) -> None:
-        """Begin sampling the calling thread."""
-        self._target_id = threading.get_ident()
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._run, name="repro-sampler", daemon=True
-        )
-        self._thread.start()
+        """Arm the profiling clock."""
+        if self.active:
+            raise ProfilerError("sampler is already active")
+        if self.mode == "signal":
+            if threading.current_thread() is not threading.main_thread():
+                raise ProfilerError("signal mode must start on the main thread")
+            self._previous_handler = signal.signal(signal.SIGPROF, self._on_signal)
+            signal.setitimer(signal.ITIMER_PROF, self.interval, self.interval)
+        else:
+            self._target_id = threading.get_ident()
+            self._stop.clear()
+            self._thread = threading.Thread(
+                target=self._run_thread, name="repro-sampler", daemon=True
+            )
+            self._thread.start()
+        self.active = True
 
     def stop(self) -> None:
-        """Stop the sampling thread and wait for it to exit."""
-        if self._thread is None:
+        """Disarm the clock and restore the previous handler (idempotent)."""
+        if not self.active:
             return
-        self._stop.set()
-        self._thread.join()
-        self._thread = None
+        if self.mode == "signal":
+            signal.setitimer(signal.ITIMER_PROF, 0.0)
+            signal.signal(signal.SIGPROF, self._previous_handler or signal.SIG_DFL)
+        else:
+            self._stop.set()
+            self._thread.join()
+            self._thread = None
+        self.active = False
 
-    def _run(self) -> None:
+    def __enter__(self) -> "Sampler":
+        self.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()
+
+    def _on_signal(self, signum, frame: FrameType | None) -> None:
+        self.sink(frame)
+
+    def _run_thread(self) -> None:
         while not self._stop.wait(self.interval):
-            frame = sys._current_frames().get(self._target_id)
-            self.store.sample_frame(frame)
-
-    @property
-    def active(self) -> bool:
-        """Whether the sampling thread is running."""
-        return self._thread is not None
+            self.sink(sys._current_frames().get(self._target_id))
 
     @property
     def profrate(self) -> int:

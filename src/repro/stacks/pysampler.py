@@ -1,8 +1,9 @@
 """Call-stack sampling for Python programs.
 
-The Python analogue of :mod:`repro.stacks.vm`: a SIGPROF handler (CPU
-time, faithful) or a sampler thread (wall clock, portable) walks the
-interrupted frame's ``f_back`` chain and records the complete routine
+The Python analogue of :mod:`repro.stacks.vm`: at each tick of the
+profiler's one :class:`~repro.pyprof.sampler.Sampler` (SIGPROF on CPU
+time, faithful, or a sampler thread on the wall clock, portable), walk
+the interrupted frame's ``f_back`` chain and record the complete routine
 chain.  No ``sys.setprofile`` hook is involved at all — per-call
 overhead is zero, per-sample cost is one frame walk, and backing off
 ``interval`` reduces even that: the modern trade the retrospective
@@ -11,13 +12,10 @@ describes.
 
 from __future__ import annotations
 
-import signal
-import sys
-import threading
 from types import FrameType
 
-from repro.errors import ProfilerError
 from repro.pyprof.addresses import describe_code
+from repro.pyprof.sampler import Sampler
 from repro.pyprof.tracer import is_internal_code
 from repro.stacks.profile import StackProfile
 
@@ -39,8 +37,11 @@ def capture_stack(frame: FrameType | None, limit: int = 500) -> list[str]:
     return names
 
 
-class PyStackSampler:
+class PyStackSampler(Sampler):
     """Samples complete Python call stacks on a timer.
+
+    The one :class:`~repro.pyprof.sampler.Sampler`, with a sink that
+    records each tick's whole stack into :attr:`profile`.
 
     Arguments:
         interval: sampling period in seconds.
@@ -55,66 +56,8 @@ class PyStackSampler:
     """
 
     def __init__(self, interval: float = 0.001, mode: str = "signal"):
-        if interval <= 0:
-            raise ProfilerError(f"interval must be positive, got {interval}")
-        if mode not in ("signal", "thread"):
-            raise ProfilerError(f"unknown mode {mode!r}")
-        self.interval = interval
-        self.mode = mode
-        self.profile = StackProfile(profrate=max(round(1 / interval), 1))
-        self._previous_handler = None
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-        self._target_id: int | None = None
-        self.active = False
+        super().__init__(self._record, interval, mode)
+        self.profile = StackProfile(profrate=self.profrate)
 
-    # -- lifecycle ----------------------------------------------------------------
-
-    def start(self) -> None:
-        """Arm the sampler."""
-        if self.active:
-            raise ProfilerError("sampler is already active")
-        if self.mode == "signal":
-            if threading.current_thread() is not threading.main_thread():
-                raise ProfilerError("signal mode must start on the main thread")
-            self._previous_handler = signal.signal(signal.SIGPROF, self._on_signal)
-            signal.setitimer(signal.ITIMER_PROF, self.interval, self.interval)
-        else:
-            self._target_id = threading.get_ident()
-            self._stop.clear()
-            self._thread = threading.Thread(
-                target=self._run_thread, name="repro-stack-sampler", daemon=True
-            )
-            self._thread.start()
-        self.active = True
-
-    def stop(self) -> None:
-        """Disarm the sampler (idempotent)."""
-        if not self.active:
-            return
-        if self.mode == "signal":
-            signal.setitimer(signal.ITIMER_PROF, 0.0)
-            signal.signal(signal.SIGPROF, self._previous_handler or signal.SIG_DFL)
-        else:
-            self._stop.set()
-            if self._thread is not None:
-                self._thread.join()
-                self._thread = None
-        self.active = False
-
-    def __enter__(self) -> "PyStackSampler":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    # -- capture ------------------------------------------------------------------
-
-    def _on_signal(self, signum, frame: FrameType | None) -> None:
+    def _record(self, frame: FrameType | None) -> None:
         self.profile.record(capture_stack(frame))
-
-    def _run_thread(self) -> None:
-        while not self._stop.wait(self.interval):
-            frame = sys._current_frames().get(self._target_id)
-            self.profile.record(capture_stack(frame))

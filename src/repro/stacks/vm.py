@@ -98,9 +98,9 @@ def run_stack_profiled(
         ),
         stride=stride,
     )
-    # Stack walks fire at tick boundaries, which the fast engine runs
-    # through the reference step path — samples and charged walk costs
-    # are identical to a reference-engine run.
+    # The fast engine fires each tick's walk from its own loop, with the
+    # registers written back first and the walk's charge re-read after,
+    # so samples and charged walk costs match a reference-engine run.
     cpu = FastCPU(exe, monitor)
     monitor.bind(cpu)
     cpu.run()

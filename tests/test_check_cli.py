@@ -7,7 +7,7 @@ import pytest
 from repro.cli.check_cli import main as check_main
 from repro.cli.gprof_cli import main as gprof_main
 from repro.gmon import read_gmon, write_gmon
-from repro.machine import assemble, run_profiled
+from repro.machine import assemble, run_profiled, static_call_graph
 from repro.machine.programs import PROGRAMS
 
 BROKEN = ".func main\n CALL f\n HALT\n.end\n.func f\n WORK 1\n.end\n"
@@ -142,18 +142,46 @@ class TestGprofLintFlag:
         assert "GP303" in captured.err
         assert "call graph profile" in captured.out
 
-    @pytest.mark.parametrize("flag", ["--lint", "--expect"])
+    @pytest.mark.parametrize(
+        "flags,options",
+        [
+            pytest.param(["--lint"], lambda exe: {}, id="--lint"),
+            pytest.param(["--expect"], lambda exe: {}, id="--expect"),
+            pytest.param(
+                ["--lint", "-C", "5"],
+                lambda exe: {"auto_break_cycles": True, "max_removed_arcs": 5},
+                id="--lint -C 5",
+            ),
+            pytest.param(
+                ["--lint", "-E", "tcp_output"],
+                lambda exe: {"excluded": ["tcp_output"]},
+                id="--lint -E tcp_output",
+            ),
+            pytest.param(
+                ["--lint", "--static"],
+                lambda exe: {"static_arcs": sorted(static_call_graph(exe))},
+                id="--lint --static",
+            ),
+            pytest.param(
+                ["--lint", "-k", "tcp_input/tcp_output"],
+                lambda exe: {"deleted_arcs": [("tcp_input", "tcp_output")]},
+                id="--lint -k tcp_input/tcp_output",
+            ),
+        ],
+    )
     def test_lint_and_listing_share_one_analysis(
-        self, tmp_path, capsys, flag
+        self, tmp_path, capsys, flags, options
     ):
-        # The lint's GP5xx check analyzes through the session cache, so
-        # the listing replays all five cache groups instead of analyzing
-        # again; the diagnostics are those of an uncached lint.
+        # The lint's GP5xx check analyzes with the listing's options
+        # through the session cache, so the listing replays all five
+        # cache groups instead of analyzing again; the diagnostics are
+        # those of an uncached lint with the same options.
         from repro.check import check_executable
+        from repro.core import AnalysisOptions
         from repro.pipeline import ProfileSession
 
         image, gmon = self._materialize(
-            tmp_path, PROGRAMS["fib"](), "fib"
+            tmp_path, PROGRAMS["netcycle"](), "netcycle"
         )
         data = read_gmon(str(gmon))
         data.arcs.append(type(data.arcs[0])(6, data.arcs[0].self_pc, 1))
@@ -161,10 +189,11 @@ class TestGprofLintFlag:
         session = ProfileSession.from_image(str(image))
         uncached = check_executable(
             session.exe, [session.load([str(gmon)])], ["<summed gmon>"],
-            flow=flag == "--expect",
+            flow=flags[0] == "--expect",
+            options=AnalysisOptions(**options(session.exe)),
         ).render_text()
         assert "GP303" in uncached
-        assert gprof_main([flag, "--timings", str(image), str(gmon)]) == 0
+        assert gprof_main([*flags, "--timings", str(image), str(gmon)]) == 0
         err = capsys.readouterr().err
         assert err.startswith(uncached)
         assert err[len(uncached):].startswith("pipeline timings (")

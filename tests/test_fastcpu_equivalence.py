@@ -8,23 +8,29 @@ same arc counts and mcount statistics, byte-identical ``gmon.out``,
 same error messages at the same machine states.  This suite pins that
 over the whole canned corpus, targeted edge cases (interrupt delivery,
 mid-WORK tick crossings, ticks crossed by HALT and RET, checkpoint
-flushes killed or not, mid-run kgmon control), and hypothesis-generated
-random programs.
+flushes killed or not, mid-run kgmon control, stack walks whose charge
+reaches a delivery or a budget, sharded and global-lock SMP monitors),
+and hypothesis-generated random programs.
 """
+
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.check import check_executable
+from repro.core.histogram import Histogram
 from repro.errors import MachineError
 from repro.gmon import dumps_gmon
+from repro.kernel.kgmon import Kgmon, KernelSession, SMPKernelSession
 from repro.lang import compile_to_asm
 from repro.lang.programs import REL_PROGRAMS
 from repro.machine import CPU, ENGINES, FastCPU, Monitor, MonitorConfig, assemble, make_cpu
 from repro.machine.cpu import InterruptSource
 from repro.machine.fastcpu import OP_DEFER, OP_OFFEND, predecode
 from repro.machine.programs import PROGRAMS
+from repro.machine.smp import CPUShard, GlobalLockMonitor, SMPMachine
 from repro.resilience.faults import FaultInjector, InjectedFault
 
 
@@ -362,7 +368,7 @@ def test_tracer_falls_back_to_reference_semantics():
 
 
 # --------------------------------------------------------------------------
-# Stack sampling (VMStackMonitor) rides the careful path.
+# Stack sampling (VMStackMonitor): a tick that reads and charges the CPU.
 # --------------------------------------------------------------------------
 
 
@@ -389,7 +395,7 @@ def test_stack_monitor_identical():
 
 
 # --------------------------------------------------------------------------
-# Stock ticks fire inside the dispatch loop, not through step().
+# Every monitor's events fire inside the dispatch loop, not through step().
 # --------------------------------------------------------------------------
 
 
@@ -446,18 +452,20 @@ def test_stock_ticks_never_step_compiled(name, step_calls):
 
 @pytest.mark.parametrize("period", [37, 100, 250])
 def test_interrupt_runs_step_only_at_deliveries(period, step_calls):
-    """Ticks stay in the loop beside interrupt sources; only an
-    instruction that reaches a delivery's due cycle takes step()."""
+    """Ticks stay in the loop beside interrupt sources, and so does the
+    instruction that reaches a delivery's due cycle: it runs on the fast
+    path, and the loop delivers at the top, as run() does."""
     exe = assemble(IRQ_PROGRAM, profile=True)
     mon = Monitor(MonitorConfig(exe.low_pc, exe.high_pc))
     cpu = FastCPU(exe, mon, interrupts=[InterruptSource("isr", period)])
     cpu.run()
     assert cpu.halted and cpu.interrupts_delivered > 0
-    assert step_calls[0] <= cpu.interrupts_delivered
+    assert step_calls[0] == 0
 
 
-def test_stack_monitor_still_steps(step_calls):
-    """A monitor whose tick reads and charges the CPU keeps step()."""
+def test_stack_monitor_never_steps(step_calls):
+    """A monitor whose tick reads and charges the CPU fires from the
+    loop too: the registers are written back before each tick."""
     from repro.stacks.vm import VMStackMonitor
 
     exe = assemble(PROGRAMS["deep"](), profile=False)
@@ -467,7 +475,170 @@ def test_stack_monitor_still_steps(step_calls):
     cpu = FastCPU(exe, mon)
     mon.bind(cpu)
     cpu.run()
-    assert 0 < step_calls[0] <= mon.histogram.total_ticks
+    assert cpu.halted and mon.stack_walk_cycles > 0
+    assert step_calls[0] == 0
+
+
+def smp_merged(engine, sharding, ncpus, interrupts=None):
+    """A four-process SMP run; returns its merged gmon bytes."""
+    source = PROGRAMS["dispatch"](40) + "\n.func isr\n WORK 3\n RET\n.end\n"
+    exe = assemble(source, profile=True)
+    machine = SMPMachine(
+        exe,
+        ncpus,
+        nprocs=4,
+        engine=engine,
+        sharding=sharding,
+        cycles_per_tick=7,
+        quantum=300,
+        interrupts=interrupts,
+    )
+    machine.run()
+    assert machine.halted and machine.total_calls() > 0
+    return dumps_gmon(machine.merged_profile())
+
+
+@pytest.mark.parametrize(
+    "sharding,ncpus,interrupts",
+    [
+        pytest.param("percpu", 1, None, id="percpu-1"),
+        pytest.param("percpu", 4, None, id="percpu-4"),
+        pytest.param("global-lock", 4, None, id="global-lock-4"),
+        pytest.param(
+            "percpu", 4, [InterruptSource("isr", 53)], id="percpu-4-irq"
+        ),
+    ],
+)
+def test_smp_monitors_never_step(sharding, ncpus, interrupts, step_calls):
+    """Sharded and global-lock monitors fire their ticks and arcs from
+    the loop, across max_cycles quanta and interrupt deliveries."""
+    reference = smp_merged("reference", sharding, ncpus, interrupts)
+    step_calls[0] = 0
+    assert smp_merged("fast", sharding, ncpus, interrupts) == reference
+    assert step_calls[0] == 0
+
+
+def test_kernel_sessions_never_step(step_calls):
+    """kgmon's max_instructions slices and the SMP kernel's max_cycles
+    quanta, both with device interrupts and live control."""
+    session = KernelSession(iterations=40)
+    kgmon = Kgmon(session)
+    session.run_slice(500)
+    kgmon.off()
+    session.run_slice(500)
+    kgmon.on()
+    kgmon.reset()
+    while session.run_slice(777):
+        pass
+    assert session.cpu.interrupts_delivered > 0
+    smp = SMPKernelSession(ncpus=2, iterations=40)
+    smp.run_to_completion()
+    assert smp.halted
+    assert step_calls[0] == 0
+
+
+class CountingLock:
+    """A lock that counts its acquisitions."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.acquired = 0
+
+    def __enter__(self):
+        self._lock.acquire()
+        self.acquired += 1
+
+    def __exit__(self, *exc_info):
+        self._lock.release()
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_global_lock_taken_once_per_tick_and_arc(engine):
+    """The strawman's cost is one acquisition per event, on either
+    engine: every tick, and every arc the monitoring routine records."""
+    exe = assemble(PROGRAMS["dispatch"](40), profile=True)
+    lock = CountingLock()
+    mon = GlobalLockMonitor(
+        MonitorConfig(exe.low_pc, exe.high_pc, cycles_per_tick=7), lock
+    )
+    shard = CPUShard(0, Histogram.for_range(exe.low_pc, exe.high_pc))
+    mon.bind(shard)
+    cpu = make_cpu(exe, mon, engine=engine)
+    cpu.run()
+    ticks = cpu.cycles // 7
+    assert shard.ticks == ticks and shard.arcs.total_calls == mon.stats.lookups
+    assert lock.acquired == ticks + mon.stats.lookups
+
+
+#: A stack walk charges its cost through charge_overhead, which can
+#: carry the clock past an interrupt's due cycle or the cycle budget
+#: after the instruction itself stopped short of it: ``WORK 500`` ends
+#: near cycle 506, and its ~50 seven-cycle walks (three frames each)
+#: carry the clock to ~856.
+WALK_PROGRAM = """
+.func main
+    CALL outer
+    WORK 5
+    HALT
+.end
+
+.func outer
+    CALL inner
+    RET
+.end
+
+.func inner
+    WORK 500
+    RET
+.end
+
+.func isr
+    WORK 3
+    RET
+.end
+"""
+
+
+@pytest.mark.parametrize(
+    "interrupts,max_cycles",
+    [
+        pytest.param([("isr", 600, None)], None, id="irq-period"),
+        pytest.param([("isr", 10_000, 600)], None, id="irq-phase"),
+        pytest.param([], 600, id="budget-600"),
+        pytest.param([], 700, id="budget-700"),
+    ],
+)
+def test_stack_walk_charge_reaches_event_identical(interrupts, max_cycles):
+    """The loop re-reads the clock after the ticks: a walk that carries
+    it past a delivery or the budget stops the slice there, as the
+    reference run()/step() does."""
+    from repro.stacks.vm import VMStackMonitor
+
+    states = {}
+    for engine in ENGINES:
+        exe = assemble(WALK_PROGRAM, profile=False)
+        mon = VMStackMonitor(
+            MonitorConfig(exe.low_pc, exe.high_pc, cycles_per_tick=10)
+        )
+        irqs = [InterruptSource(*spec) for spec in interrupts]
+        cpu = make_cpu(exe, mon, interrupts=irqs, engine=engine)
+        mon.bind(cpu)
+        slices = []
+        budget = max_cycles
+        while not cpu.halted:
+            cpu.run(max_cycles=budget)
+            slices.append((cpu.cycles, cpu.pc, cpu.interrupts_delivered))
+            if budget is None:
+                break
+            budget = cpu.cycles + 600
+        states[engine] = (
+            slices,
+            machine_state(cpu),
+            monitor_state(mon),
+            dict(mon.stack_profile.samples),
+            mon.stack_walk_cycles,
+        )
+    assert states["fast"] == states["reference"]
 
 
 #: Programs whose tick-crossing instruction is a control transfer the
@@ -520,7 +691,7 @@ def test_crossing_control_transfer_identical(case, killed, tmp_path, step_calls)
             cpu._next_tick,
         )
         if engine == "fast":
-            assert step_calls[0] - calls_before <= cpu.interrupts_delivered
+            assert step_calls[0] == calls_before
     assert states["fast"] == states["reference"]
 
 

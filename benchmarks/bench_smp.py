@@ -10,7 +10,10 @@ Three measurements on the :class:`~repro.machine.smp.SMPMachine`:
   routine invocation takes a real ``threading.Lock`` around one shared
   buffer.  Both record the identical union of events (checked in the
   same run the speed is measured in); the committed numbers show what
-  the lock costs as the machine widens.
+  the lock costs as the machine widens.  The two layouts run in pairs,
+  alternating which goes first, and ``lock_overhead`` is the median of
+  the per-pair ratios with its quartiles, so a host whose speed swings
+  between runs moves both halves of a pair together.
 
 * **Merge cost vs CPU count.**  :func:`~repro.machine.smp.reduce_shards`
   folds N shard snapshots through the fleet accumulator; the trajectory
@@ -30,7 +33,9 @@ from __future__ import annotations
 import os
 import platform
 import time
+from statistics import median
 
+from benchmarks.e2e.harness import quartiles
 from repro.gmon import dumps_gmon
 from repro.machine import assemble
 from repro.machine.programs import PROGRAMS
@@ -43,6 +48,7 @@ FULL = {
     "nprocs": 4,
     "cpu_counts": (1, 2, 4, 8),
     "seeds": (0, 1, 2),
+    "pairs": 9,
     "repeats": 3,
 }
 QUICK = {
@@ -50,6 +56,7 @@ QUICK = {
     "nprocs": 4,
     "cpu_counts": (1, 2, 4),
     "seeds": (0, 1, 2),
+    "pairs": 3,
     "repeats": 1,
 }
 
@@ -73,15 +80,21 @@ def build_machine(exe, cfg, ncpus, seed=0, policy="rr", sharding="percpu"):
     )
 
 
-def timed_run(exe, cfg, ncpus, sharding, repeats):
-    """Best wall-seconds to run the workload; returns (secs, machine)."""
-    best, machine = float("inf"), None
-    for _ in range(repeats):
-        machine = build_machine(exe, cfg, ncpus, sharding=sharding)
-        t0 = time.perf_counter()
-        machine.run()
-        best = min(best, time.perf_counter() - t0)
-    return best, machine
+def paired_runs(exe, cfg, ncpus):
+    """Time both layouts in ``cfg["pairs"]`` pairs, alternating which is
+    first; returns ``({sharding: seconds per pair}, {sharding: machine})``.
+    """
+    order = ("percpu", "global-lock")
+    seconds = {sharding: [] for sharding in order}
+    machines = {}
+    for i in range(cfg["pairs"]):
+        for sharding in order if i % 2 == 0 else order[::-1]:
+            machine = build_machine(exe, cfg, ncpus, sharding=sharding)
+            t0 = time.perf_counter()
+            machine.run()
+            seconds[sharding].append(time.perf_counter() - t0)
+            machines[sharding] = machine
+    return seconds, machines
 
 
 def merged_bytes(machine, comment):
@@ -98,9 +111,13 @@ def run_smp(quick: bool) -> tuple[dict, bool]:
     throughput_rows = []
     baseline_bytes = None
     for ncpus in cfg["cpu_counts"]:
-        sharded_s, sharded_m = timed_run(exe, cfg, ncpus, "percpu", cfg["repeats"])
-        locked_s, locked_m = timed_run(
-            exe, cfg, ncpus, "global-lock", cfg["repeats"]
+        seconds, machines = paired_runs(exe, cfg, ncpus)
+        sharded_m, locked_m = machines["percpu"], machines["global-lock"]
+        sharded_s = median(seconds["percpu"])
+        locked_s = median(seconds["global-lock"])
+        q1, ratio, q3 = quartiles(
+            lock / shard
+            for lock, shard in zip(seconds["global-lock"], seconds["percpu"])
         )
         sharded_bytes = merged_bytes(sharded_m, comment)
         if baseline_bytes is None:
@@ -119,7 +136,10 @@ def run_smp(quick: bool) -> tuple[dict, bool]:
             "global_lock_seconds": round(locked_s, 6),
             "sharded_minstr_per_sec": round(instructions / sharded_s / 1e6, 3),
             "global_lock_minstr_per_sec": round(instructions / locked_s / 1e6, 3),
-            "lock_overhead": round(locked_s / sharded_s, 3),
+            "lock_overhead": round(ratio, 3),
+            "lock_overhead_q1": round(q1, 3),
+            "lock_overhead_q3": round(q3, 3),
+            "pairs": cfg["pairs"],
             "events": sharded_m.total_ticks() + sharded_m.total_calls(),
             "byte_identical": identical,
         }
@@ -127,7 +147,8 @@ def run_smp(quick: bool) -> tuple[dict, bool]:
         print(
             f"  {ncpus:>2} cpus: sharded {row['sharded_minstr_per_sec']:>7} Mi/s"
             f"  global-lock {row['global_lock_minstr_per_sec']:>7} Mi/s"
-            f"  (lock {row['lock_overhead']}x)"
+            f"  (lock {row['lock_overhead']}x [{row['lock_overhead_q1']},"
+            f" {row['lock_overhead_q3']}])"
             f"  identical={identical}"
         )
 
@@ -185,6 +206,7 @@ def run_smp(quick: bool) -> tuple[dict, bool]:
             "args": cfg["program"][1],
             "nprocs": cfg["nprocs"],
             "cycles_per_tick": CYCLES_PER_TICK,
+            "pairs": cfg["pairs"],
             "repeats": cfg["repeats"],
         },
         "throughput": throughput_rows,

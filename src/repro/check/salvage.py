@@ -13,6 +13,9 @@ the same machinery as every other finding:
 * ``GP404`` — header/comment truncated, losing the profile body;
 * ``GP405`` — anomaly repaired or tolerated without data loss;
 * ``GP406`` — the file declared ``runs == 0`` (clamped, not hidden).
+
+A drop's code comes from the file section the report says lost data,
+never from the message's wording.
 """
 
 from __future__ import annotations
@@ -21,6 +24,11 @@ from repro.check.diagnostics import Diagnostic, make
 from repro.core.profiledata import ProfileData
 from repro.gmon.format import RUNS_ZERO_WARNING
 from repro.resilience.salvage import SalvageReport
+
+#: The GP code for a drop, by the file section that lost data.
+_DROP_CODES = {
+    "comment": "GP404", "header": "GP404", "buckets": "GP402", "arcs": "GP403",
+}
 
 
 def salvage_passes(report: SalvageReport) -> list[Diagnostic]:
@@ -36,17 +44,12 @@ def salvage_passes(report: SalvageReport) -> list[Diagnostic]:
             make("GP401", f"{source}: {message}")
             for message in report.dropped
         ] or [make("GP401", f"{source}: nothing recovered")]
-    diagnostics: list[Diagnostic] = []
-    for message in report.dropped:
-        if "arc" in message:
-            code = "GP403"
-        elif "histogram" in message or "bucket" in message:
-            code = "GP402"
-        else:
-            code = "GP404"
-        diagnostics.append(make(code, f"{source}: {message}"))
+    diagnostics = [
+        make(_DROP_CODES[section], f"{source}: {message}")
+        for section, message in zip(report.dropped_sections, report.dropped)
+    ]
     for message in report.notes:
-        code = "GP406" if "runs == 0" in message else "GP405"
+        code = "GP406" if message == RUNS_ZERO_WARNING else "GP405"
         diagnostics.append(make(code, f"{source}: {message}"))
     return diagnostics
 

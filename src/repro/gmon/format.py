@@ -34,15 +34,22 @@ Robustness (the :mod:`repro.resilience` integration):
 * **Writes are atomic by default** — the bytes go to a temp file that is
   renamed over the destination, so a crash mid-write leaves the previous
   version intact instead of a torn file.
-* **Strict reads fail fast and fail typed** — every malformed input
-  raises :class:`GmonFormatError` (never ``UnicodeDecodeError`` or a
+* **One decoder** — the strict parse, the salvage and the header peek
+  are one walk over the sections in file order (magic, comment length,
+  comment, header, buckets, arc count, arcs, trailing bytes).  Each
+  fault is a *drop* (data lost, tagged with the section that lost it)
+  or a *note* (repaired, nothing lost), with one message in both modes.
+* **Strict reads fail fast and fail typed** — the walk raises its first
+  fault as :class:`GmonFormatError` (never ``UnicodeDecodeError`` or a
   giant allocation): declared ``num_buckets``/``num_arcs`` are validated
-  against the actual remaining file size *before* anything is decoded.
+  against the actual remaining file size *before* anything is copied.
+  A header peek is the same walk stopped after the header.
 * **Salvage reads never fail** — ``read_gmon(path, mode="salvage")``
-  recovers the maximal structurally-valid prefix of a truncated or
-  corrupted file and returns the recovered :class:`ProfileData` together
-  with a :class:`~repro.resilience.SalvageReport` saying exactly what
-  was dropped.
+  files every fault instead, keeps the maximal structurally-valid
+  prefix of a truncated or corrupted file and returns the recovered
+  :class:`ProfileData` together with a
+  :class:`~repro.resilience.SalvageReport` saying exactly what was
+  dropped.
 """
 
 from __future__ import annotations
@@ -50,13 +57,12 @@ from __future__ import annotations
 import io
 import math
 import struct
-from array import array
 from typing import BinaryIO, NamedTuple
 
 from repro.core.arcs import RawArc
 from repro.core.histogram import DEFAULT_PROFRATE, Histogram
 from repro.core.profiledata import ProfileData
-from repro.errors import GmonFormatError, HistogramError
+from repro.errors import GmonFormatError
 from repro.resilience.atomic import atomic_write_bytes
 from repro.resilience.faults import FaultInjector
 from repro.resilience.salvage import SalvageReport
@@ -169,24 +175,22 @@ def _unsigned(what: str, value: int, bits: int) -> None:
         raise GmonFormatError(f"{what} {value} exceeds {bits} bits")
 
 
-# -- strict reading -------------------------------------------------------------
+# -- reading --------------------------------------------------------------------
 
 
 class RawGmon:
-    """A strictly-validated gmon file, still in wire representation.
+    """A decoded gmon file, still in wire representation.
 
     The cheap sibling of :class:`~repro.core.profiledata.ProfileData`:
     bucket counts stay packed bytes (``counts_blob``) and arc records
-    stay packed bytes (``arc_blob``; decode with ``iter_arcs`` or
-    ``arcs_as_arrays``), so fleet-scale consumers that only sum fields
-    — :class:`repro.fleet.ProfileAccumulator` — never pay for
-    per-record or per-bucket object construction.
+    stay packed bytes (``arc_blob``; decode with ``iter_arcs``), so
+    fleet-scale consumers that only sum fields —
+    :class:`repro.fleet.ProfileAccumulator` — never pay for per-record
+    or per-bucket object construction.
 
     ``counts`` is **always a ``tuple[int, ...]``** — the settled wire
-    type.  (Historically the strict reader returned a tuple while the
-    salvage path built lists; every construction is normalized now,
-    and ``test_gmon`` pins the type.)  When the instance was built
-    from the wire, the tuple is decoded lazily on first access; the
+    type, which ``test_gmon`` pins.  When the instance was built from
+    the wire, the tuple is decoded lazily on first access; the
     blob-only fast paths never touch it.
     """
 
@@ -229,23 +233,6 @@ class RawGmon:
         """Yield (from_pc, self_pc, count) triples from the packed blob."""
         return _ARC.iter_unpack(self.arc_blob)
 
-    def arcs_as_arrays(self):
-        """Decode the arc blob into three parallel column arrays.
-
-        Returns ``(from_pcs, self_pcs, counts)`` as stdlib
-        ``array('Q')/array('Q')/array('I')`` columns — one bulk
-        ``struct.unpack`` for the whole blob, the batch-friendly shape
-        a columnar consumer wants.
-        """
-        n = self.narcs
-        if not n:
-            return array("Q"), array("Q"), array("I")
-        flat = struct.unpack("<" + "QQI" * n, self.arc_blob)
-        return (
-            array("Q", flat[0::3]), array("Q", flat[1::3]),
-            array("I", flat[2::3]),
-        )
-
     def _key(self):
         return (
             self.comment, self.runs, self.low_pc, self.high_pc,
@@ -286,70 +273,194 @@ class GmonHeader(NamedTuple):
     profrate: int
 
 
-#: Bytes of prefix needed before the comment length is known.
-PEEK_PREFIX_LEN = len(MAGIC) + _COMMENT_LEN.size
+_MAGIC_LEN = len(MAGIC)
 
-#: Upper bound on the prefix any header peek can need (worst-case
-#: comment).  A consumer holding this many bytes — or the whole file,
-#: whichever is shorter — can always run :func:`peek_gmon_header_bytes`.
-PEEK_MAX_LEN = PEEK_PREFIX_LEN + 0xFFFF + _HEADER.size
+#: Bytes of prefix needed before the comment length is known.
+PEEK_PREFIX_LEN = _MAGIC_LEN + _COMMENT_LEN.size
+
+# Where a header peek stops the walk: once the comment length is known,
+# or once the header is checked.  A parse or a salvage walks it all.
+_STOP_AFTER_LENGTH = 1
+_STOP_AFTER_HEADER = 2
+
+
+def _drop(report: SalvageReport | None, section: str, message: str) -> None:
+    """File a fault that loses data from ``section`` on.
+
+    Without a report it is the strict parse's error.
+    """
+    if report is None:
+        raise GmonFormatError(message)
+    report.add_drop(section, message)
+
+
+def _repair(report: SalvageReport | None, message: str, repair: str) -> None:
+    """File a fault salvage repairs without losing data.
+
+    Without a report it is the strict parse's error; with one it is a
+    note that appends the ``repair``.
+    """
+    if report is None:
+        raise GmonFormatError(message)
+    report.add_note(f"{message}; {repair}")
+
+
+def _nothing_after(
+    report: SalvageReport, consumed: int, comment: str = ""
+) -> RawGmon:
+    """What a salvage walk keeps when no header precedes the damage."""
+    report.consumed_bytes = consumed
+    return RawGmon(comment, 1, 0, 0, 0, DEFAULT_PROFRATE)
+
+
+def _walk(blob: bytes, report: SalvageReport | None = None, stop: int = 0):
+    """Decode ``blob`` once, section by section, in file order.
+
+    Each fault is filed through :func:`_drop` or :func:`_repair`, with
+    one message for both modes.  Without a ``report`` the first fault
+    raises :class:`GmonFormatError`, with every declared size checked
+    against the bytes that remain before any bucket or arc bytes are
+    copied: the strict parse.  With one, every fault is filed, every
+    complete record before it is kept and the report's counts are
+    filled in: the salvage.
+
+    A whole walk returns a :class:`RawGmon` of what was kept.  A header
+    peek stops early: ``_STOP_AFTER_LENGTH`` returns the prefix length the
+    header needs, ``_STOP_AFTER_HEADER`` the checked :class:`GmonHeader`.
+    """
+    size = len(blob)
+    if blob[:_MAGIC_LEN] != MAGIC:
+        if size < _MAGIC_LEN and MAGIC.startswith(blob):
+            message = f"magic truncated ({size}/{_MAGIC_LEN} bytes)"
+        else:
+            message = (
+                f"bad magic {blob[:_MAGIC_LEN]!r}: not a profile data file "
+                "or wrong version"
+            )
+        _drop(report, "magic", message)
+        return _nothing_after(report, 0)
+    if report is not None:
+        report.add_section("magic")
+    if size < PEEK_PREFIX_LEN:
+        _drop(report, "comment", f"comment length truncated "
+              f"({size - _MAGIC_LEN}/{_COMMENT_LEN.size} bytes)")
+        return _nothing_after(report, _MAGIC_LEN)
+    end = PEEK_PREFIX_LEN + _COMMENT_LEN.unpack_from(blob, _MAGIC_LEN)[0]
+    if stop == _STOP_AFTER_LENGTH:
+        return end + _HEADER.size
+    raw_comment = blob[PEEK_PREFIX_LEN:end]
+    if end > size:
+        _drop(report, "comment", f"comment truncated "
+              f"({size - PEEK_PREFIX_LEN}/{end - PEEK_PREFIX_LEN} bytes)")
+        return _nothing_after(
+            report, size, raw_comment.decode("utf-8", "replace")
+        )
+    try:
+        comment = raw_comment.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        _repair(report, f"comment is not valid UTF-8: {exc}",
+                "bad bytes replaced with U+FFFD")
+        comment = raw_comment.decode("utf-8", "replace")
+    if report is not None:
+        report.add_section("comment")
+
+    pos = end + _HEADER.size
+    if pos > size:
+        _drop(report, "header", f"header truncated "
+              f"({size - end}/{_HEADER.size} bytes)")
+        return _nothing_after(report, end, comment)
+    runs, low_pc, high_pc, nbuckets, profrate = _HEADER.unpack_from(blob, end)
+    if report is not None:
+        report.add_section("header")
+        report.buckets_expected = nbuckets
+        if runs == 0:
+            report.add_note(RUNS_ZERO_WARNING)
+    bounds_ok = high_pc >= low_pc
+    if not bounds_ok:
+        _drop(report, "buckets", f"impossible histogram bounds: high_pc "
+              f"{high_pc:#x} below low_pc {low_pc:#x}")
+    if not profrate:
+        _repair(report, "impossible histogram header: profrate must be "
+                "positive, got 0",
+                f"substituting the default {DEFAULT_PROFRATE} Hz")
+        profrate = DEFAULT_PROFRATE
+    if high_pc > low_pc and not nbuckets:
+        _drop(report, "buckets", "impossible histogram header: non-empty "
+              "address range but zero buckets")
+    if stop == _STOP_AFTER_HEADER:
+        return GmonHeader(comment, runs, low_pc, high_pc, nbuckets, profrate)
+
+    counts_at = pos
+    have = (size - pos) // _BUCKET.size
+    if have < nbuckets:
+        _drop(report, "buckets", f"histogram truncated: {have}/{nbuckets} "
+              f"buckets (header claims {nbuckets}, {size - pos} bytes "
+              "remain)")
+        nbuckets = have
+    elif report is not None:
+        report.add_section("buckets")
+    pos += nbuckets * _BUCKET.size
+    if not bounds_ok:  # only a salvage walk gets here: keep no counts
+        low_pc = high_pc = nbuckets = 0
+
+    arcs_at = pos + _NARCS.size
+    narcs = 0
+    if arcs_at > size:
+        _drop(report, "arcs", f"no arc count field "
+              f"({size - pos}/{_NARCS.size} bytes)")
+        arcs_at = pos
+    else:
+        narcs = _NARCS.unpack_from(blob, pos)[0]
+        have = (size - arcs_at) // _ARC.size
+        if report is not None:
+            report.arcs_expected = narcs
+        if have < narcs:
+            _drop(report, "arcs", f"arc table truncated: {have}/{narcs} "
+                  f"arcs (arc count claims {narcs} arcs, {size - arcs_at} "
+                  "bytes remain)")
+            narcs = have
+        else:
+            if report is not None:
+                report.add_section("arcs")
+            trailing = size - arcs_at - narcs * _ARC.size
+            if trailing:
+                _repair(report, f"{trailing} trailing byte(s) after the "
+                        "arc records", "ignored")
+    pos = arcs_at + narcs * _ARC.size
+    if report is not None:
+        report.buckets_read = nbuckets
+        report.arcs_read = narcs
+        report.consumed_bytes = pos
+    return RawGmon(
+        comment, runs, low_pc, high_pc, nbuckets, profrate, None,
+        blob[arcs_at:pos], narcs,
+        counts_blob=blob[counts_at:counts_at + nbuckets * _BUCKET.size],
+    )
 
 
 def peek_needed_len(prefix: bytes) -> int:
     """Total prefix bytes a header peek needs, given the first 8 bytes.
 
-    Raises :class:`GmonFormatError` on bad magic or a prefix too short
-    to hold the comment length field — the same failures
+    The walk stopped once the comment length is known: raises
+    :class:`GmonFormatError` on bad magic or a prefix too short to hold
+    the comment length field — the same failures
     :func:`peek_gmon_header_bytes` would report.
     """
-    if prefix[: len(MAGIC)] != MAGIC:
-        if len(prefix) < len(MAGIC):
-            raise GmonFormatError(
-                f"truncated file: wanted {len(MAGIC)} bytes of magic, "
-                f"got {len(prefix)}"
-            )
-        raise GmonFormatError(
-            f"bad magic {prefix[:len(MAGIC)]!r}: not a profile data file "
-            "or wrong version"
-        )
-    if len(prefix) < PEEK_PREFIX_LEN:
-        raise GmonFormatError(
-            "truncated file: wanted 2 bytes of comment length, "
-            f"got {len(prefix) - len(MAGIC)}"
-        )
-    comment_len = _COMMENT_LEN.unpack_from(prefix, len(MAGIC))[0]
-    return PEEK_PREFIX_LEN + comment_len + _HEADER.size
+    return _walk(prefix, None, _STOP_AFTER_LENGTH)
 
 
 def peek_gmon_header_bytes(prefix: bytes) -> GmonHeader:
     """Parse a gmon header from an in-memory file prefix.
 
-    ``prefix`` must hold at least :func:`peek_needed_len` bytes of the
-    file (extra bytes beyond the header are ignored).  This is the
-    front-door validation primitive for consumers that receive files as
-    byte streams — the ingest service peeks an upload's first bytes
-    before buffering the body.  Raises :class:`GmonFormatError` exactly
-    as the path-based :func:`peek_gmon_header` would.
+    The walk stopped after the header.  ``prefix`` must hold at least
+    :func:`peek_needed_len` bytes of the file (extra bytes beyond the
+    header are ignored).  This is the front-door validation primitive
+    for consumers that receive files as byte streams — the ingest
+    service peeks an upload's first bytes before buffering the body.
+    Raises :class:`GmonFormatError` exactly as a strict parse of those
+    bytes would, up to the end of the header.
     """
-    needed = peek_needed_len(prefix)
-    comment_len = needed - PEEK_PREFIX_LEN - _HEADER.size
-    body = prefix[PEEK_PREFIX_LEN:]
-    if len(body) < comment_len:
-        raise GmonFormatError(
-            f"truncated file: wanted {comment_len} bytes of comment, "
-            f"got {len(body)}"
-        )
-    comment = _decode_comment(body[:comment_len])
-    if len(body) < comment_len + _HEADER.size:
-        raise GmonFormatError(
-            f"truncated file: wanted {_HEADER.size} bytes of header, "
-            f"got {len(body) - comment_len}"
-        )
-    runs, low_pc, high_pc, nbuckets, profrate = _HEADER.unpack_from(
-        body, comment_len
-    )
-    _validate_header(low_pc, high_pc, nbuckets, profrate)
-    return GmonHeader(comment, runs, low_pc, high_pc, nbuckets, profrate)
+    return _walk(prefix, None, _STOP_AFTER_HEADER)
 
 
 def peek_gmon_header(path) -> GmonHeader:
@@ -362,32 +473,8 @@ def peek_gmon_header(path) -> GmonHeader:
     """
     with open(path, "rb") as f:
         head = f.read(PEEK_PREFIX_LEN)
-        needed = peek_needed_len(head)
-        head += f.read(needed - len(head))
+        head += f.read(peek_needed_len(head) - len(head))
     return peek_gmon_header_bytes(head)
-
-
-def _validate_header(
-    low_pc: int, high_pc: int, nbuckets: int, profrate: int
-) -> None:
-    """Reject structurally impossible header values, strictly.
-
-    Mirrors what :class:`~repro.core.histogram.Histogram` construction
-    would reject, but at the wire layer so raw consumers get the same
-    guarantees without building the object.
-    """
-    if high_pc < low_pc:
-        raise GmonFormatError(f"high_pc {high_pc:#x} below low_pc {low_pc:#x}")
-    if profrate <= 0:
-        raise GmonFormatError(
-            f"impossible histogram header: profrate must be positive, "
-            f"got {profrate}"
-        )
-    if high_pc > low_pc and nbuckets == 0:
-        raise GmonFormatError(
-            "impossible histogram header: non-empty address range but "
-            "zero buckets"
-        )
 
 
 def read_gmon(path, mode: str = "strict"):
@@ -421,104 +508,19 @@ def salvage_gmon(path) -> tuple[ProfileData, SalvageReport]:
 def parse_gmon_raw(blob: bytes) -> RawGmon:
     """Strictly parse an in-memory profile data file — wire form only.
 
-    Performs every structural validation :func:`parse_gmon` performs
-    (magic, truncation, declared-size-vs-file-size, impossible header,
-    trailing bytes) but returns the :class:`RawGmon` wire view instead
-    of building :class:`Histogram`/:class:`RawArc` objects.  This is
-    the single source of truth for strict validation; both the object
-    reader and the fleet accumulator sit on top of it.
+    The whole walk without a report: the first fault raises
+    :class:`GmonFormatError`.  Returns the :class:`RawGmon` wire view
+    instead of building :class:`Histogram`/:class:`RawArc` objects;
+    both the object reader and the fleet accumulator sit on top of it.
     """
-    cursor = _Cursor(blob)
-    magic = cursor.take(len(MAGIC), "magic")
-    if magic != MAGIC:
-        raise GmonFormatError(
-            f"bad magic {magic!r}: not a profile data file or wrong version"
-        )
-    comment_len = _COMMENT_LEN.unpack(cursor.take(2, "comment length"))[0]
-    comment = _decode_comment(cursor.take(comment_len, "comment"))
-    runs, low_pc, high_pc, nbuckets, profrate = _HEADER.unpack(
-        cursor.take(_HEADER.size, "header")
-    )
-    if high_pc < low_pc:
-        raise GmonFormatError(f"high_pc {high_pc:#x} below low_pc {low_pc:#x}")
-    # Validate the declared sizes against the actual remaining bytes
-    # *before* decoding anything: a corrupt header must fail fast with a
-    # clear message, not allocate gigabytes and then hit a truncation.
-    need = nbuckets * _BUCKET.size + _NARCS.size
-    if cursor.remaining < need:
-        raise GmonFormatError(
-            f"header claims {nbuckets} histogram buckets ({need} bytes "
-            f"incl. arc count) but only {cursor.remaining} bytes remain"
-        )
-    counts_blob = cursor.take(nbuckets * _BUCKET.size, "histogram buckets")
-    narcs = _NARCS.unpack(cursor.take(_NARCS.size, "arc count"))[0]
-    if cursor.remaining < narcs * _ARC.size:
-        raise GmonFormatError(
-            f"header claims {narcs} arcs ({narcs * _ARC.size} bytes) but "
-            f"only {cursor.remaining} bytes remain"
-        )
-    arc_blob = cursor.take(narcs * _ARC.size, "arc records")
-    if cursor.remaining:
-        raise GmonFormatError("trailing bytes after arc records")
-    _validate_header(low_pc, high_pc, nbuckets, profrate)
-    return RawGmon(
-        comment, runs, low_pc, high_pc, nbuckets, profrate,
-        None, arc_blob, narcs, counts_blob=counts_blob,
-    )
+    return _walk(blob)
 
 
 def parse_gmon(blob: bytes) -> ProfileData:
     """Strictly parse an in-memory profile data file."""
-    raw = parse_gmon_raw(blob)
-    arcs = [
-        RawArc(from_pc, self_pc, count)
-        for from_pc, self_pc, count in raw.iter_arcs()
-    ]
-    try:
-        histogram = Histogram(
-            raw.low_pc, raw.high_pc, list(raw.counts), raw.profrate
-        )
-    except HistogramError as exc:
-        raise GmonFormatError(f"impossible histogram header: {exc}") from exc
+    raw = _walk(blob)
     warnings = [RUNS_ZERO_WARNING] if raw.runs == 0 else []
-    return ProfileData(
-        histogram, arcs, runs=max(raw.runs, 1), comment=raw.comment,
-        warnings=warnings,
-    )
-
-
-class _Cursor:
-    """Bounds-checked sequential reader over an in-memory file."""
-
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.pos = 0
-
-    @property
-    def remaining(self) -> int:
-        return len(self.blob) - self.pos
-
-    def take(self, n: int, what: str) -> bytes:
-        """Consume exactly ``n`` bytes or raise on truncation."""
-        if self.remaining < n:
-            raise GmonFormatError(
-                f"truncated file: wanted {n} bytes of {what}, "
-                f"got {self.remaining}"
-            )
-        data = self.blob[self.pos : self.pos + n]
-        self.pos += n
-        return data
-
-
-def _decode_comment(raw: bytes) -> str:
-    """Decode the comment field, mapping bad bytes to GmonFormatError."""
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise GmonFormatError(f"comment is not valid UTF-8: {exc}") from exc
-
-
-# -- salvage reading ------------------------------------------------------------
+    return _profile(raw, raw.nbuckets, warnings)
 
 
 def salvage_gmon_bytes(
@@ -526,169 +528,50 @@ def salvage_gmon_bytes(
 ) -> tuple[ProfileData, SalvageReport]:
     """Recover the maximal structurally-valid prefix of ``blob``.
 
-    Never raises on malformed content.  Per-section recovery: an intact
-    magic/comment/header yields whatever complete bucket counters and
-    arc records follow; everything dropped or repaired is recorded in
-    the returned :class:`SalvageReport`, and the same facts are attached
-    to ``ProfileData.warnings`` so downstream analysis stays honest.
+    The whole walk with a report, so it never raises on malformed
+    content: an intact magic/comment/header yields whatever complete
+    bucket counters and arc records follow, and everything dropped or
+    repaired is recorded in the returned :class:`SalvageReport`.  The
+    same facts are attached to ``ProfileData.warnings`` so downstream
+    analysis stays honest.
 
     The recovered data of a byte-perfect file is identical to a strict
     parse and its report is ``clean`` — the fuzz suite's "no silent
     lie" invariant.
     """
     report = SalvageReport(source=source, total_bytes=len(blob))
-    pos = 0
+    raw = _walk(blob, report)
+    return _profile(raw, report.buckets_expected, report.warnings()), report
 
-    def finish(
-        histogram: Histogram | None = None,
-        arcs: list[RawArc] | None = None,
-        runs: int = 1,
-        comment: str = "",
-    ) -> tuple[ProfileData, SalvageReport]:
-        report.consumed_bytes = pos
-        data = ProfileData(
-            histogram if histogram is not None else Histogram(0, 0, []),
-            arcs or [],
-            runs=max(runs, 1),
-            comment=comment,
-            warnings=report.warnings(),
-        )
-        return data, report
 
-    # magic: without it there is no valid prefix at all.
-    if blob[: len(MAGIC)] != MAGIC:
-        report.add_drop(
-            "bad magic: not a profile data file (or wrong version); "
-            "nothing recovered"
-        )
-        return finish()
-    pos = len(MAGIC)
-    report.add_section("magic")
-
-    # comment
-    if len(blob) - pos < _COMMENT_LEN.size:
-        report.add_drop("file ends inside the comment length field")
-        return finish()
-    comment_len = _COMMENT_LEN.unpack_from(blob, pos)[0]
-    pos += _COMMENT_LEN.size
-    raw_comment = blob[pos : pos + comment_len]
-    comment = raw_comment.decode("utf-8", errors="replace")
-    if len(raw_comment) < comment_len:
-        pos += len(raw_comment)
-        report.add_drop(
-            f"comment truncated ({len(raw_comment)}/{comment_len} bytes); "
-            "header, histogram and arcs lost"
-        )
-        return finish(comment=comment)
-    pos += comment_len
-    try:
-        raw_comment.decode("utf-8")
-    except UnicodeDecodeError:
-        report.add_note(
-            "comment is not valid UTF-8; bad bytes replaced with U+FFFD"
-        )
-    report.add_section("comment")
-
-    # header
-    if len(blob) - pos < _HEADER.size:
-        report.add_drop(
-            f"header truncated ({len(blob) - pos}/{_HEADER.size} bytes); "
-            "histogram and arcs lost"
-        )
-        return finish(comment=comment)
-    runs, low_pc, high_pc, nbuckets, profrate = _HEADER.unpack_from(blob, pos)
-    pos += _HEADER.size
-    report.add_section("header")
-    report.buckets_expected = nbuckets
-    if runs == 0:
-        report.add_note(RUNS_ZERO_WARNING)
-    if profrate <= 0:
-        report.add_note(
-            f"impossible profrate {profrate}; "
-            f"substituting the default {DEFAULT_PROFRATE} Hz"
-        )
-        profrate = DEFAULT_PROFRATE
-    bounds_ok = high_pc >= low_pc
-    if not bounds_ok:
-        report.add_drop(
-            f"impossible histogram bounds (high_pc {high_pc:#x} below "
-            f"low_pc {low_pc:#x}); bucket counts dropped"
-        )
-    elif nbuckets == 0 and high_pc > low_pc:
-        report.add_drop(
-            "non-empty address range declared with zero buckets; "
-            "histogram range collapsed"
-        )
-        high_pc = low_pc
-
-    # bucket counters: keep every complete one that is actually present.
-    avail_buckets = (len(blob) - pos) // _BUCKET.size
-    nread = min(nbuckets, avail_buckets)
-    counts = list(struct.unpack_from(f"<{nread}I", blob, pos))
-    report.buckets_read = nread if bounds_ok else 0
-    if nread < nbuckets:
-        pos += nread * _BUCKET.size
-        report.add_drop(
-            f"histogram truncated: {nread}/{nbuckets} buckets recovered"
-        )
-        report.add_drop("arc table lost (file ends inside the histogram)")
-        histogram = _partial_histogram(
-            low_pc, high_pc, nbuckets, counts, profrate, bounds_ok
-        )
-        return finish(histogram, runs=runs, comment=comment)
-    pos += nbuckets * _BUCKET.size
-    report.add_section("buckets")
-    histogram = _partial_histogram(
-        low_pc, high_pc, nbuckets, counts, profrate, bounds_ok
-    )
-
-    # arc table
-    if len(blob) - pos < _NARCS.size:
-        report.add_drop("arc table lost (no arc count field)")
-        return finish(histogram, runs=runs, comment=comment)
-    narcs = _NARCS.unpack_from(blob, pos)[0]
-    pos += _NARCS.size
-    report.arcs_expected = narcs
-    avail_arcs = (len(blob) - pos) // _ARC.size
-    arcs_read = min(narcs, avail_arcs)
+def _profile(
+    raw: RawGmon, nbuckets: int | None, warnings: list[str]
+) -> ProfileData:
+    """Build the :class:`ProfileData` of a walk that kept ``raw``."""
     arcs = [
         RawArc(from_pc, self_pc, count)
-        for from_pc, self_pc, count in _ARC.iter_unpack(
-            blob[pos : pos + arcs_read * _ARC.size]
-        )
+        for from_pc, self_pc, count in raw.iter_arcs()
     ]
-    pos += arcs_read * _ARC.size
-    report.arcs_read = arcs_read
-    if arcs_read < narcs:
-        report.add_drop(
-            f"arc table truncated: {arcs_read}/{narcs} arcs recovered"
-        )
-        return finish(histogram, arcs, runs=runs, comment=comment)
-    report.add_section("arcs")
-    trailing = len(blob) - pos
-    if trailing:
-        report.add_note(f"{trailing} trailing byte(s) after the arc records ignored")
-    return finish(histogram, arcs, runs=runs, comment=comment)
+    return ProfileData(
+        _partial_histogram(raw, nbuckets), arcs, runs=max(raw.runs, 1),
+        comment=raw.comment, warnings=warnings,
+    )
 
 
-def _partial_histogram(
-    low_pc: int,
-    high_pc: int,
-    nbuckets: int,
-    counts: list[int],
-    profrate: int,
-    bounds_ok: bool,
-) -> Histogram:
+def _partial_histogram(raw: RawGmon, nbuckets: int | None) -> Histogram:
     """A consistent histogram over however many buckets survived.
 
-    When only a prefix of the declared buckets was recovered, the upper
-    bound shrinks proportionally so each surviving counter keeps the
-    address range it had in the complete file.
+    ``nbuckets`` is the count the header declared.  When only a prefix
+    of them was recovered, the upper bound shrinks proportionally so
+    each surviving counter keeps the address range it had in the
+    complete file.
     """
-    if not bounds_ok or not counts:
-        return Histogram(low_pc, low_pc, [], profrate) if bounds_ok else Histogram(0, 0, [], profrate)
+    counts = list(raw.counts)
+    low_pc, high_pc = raw.low_pc, raw.high_pc
+    if not counts:
+        return Histogram(low_pc, low_pc, [], raw.profrate)
     if len(counts) == nbuckets:
-        return Histogram(low_pc, high_pc, counts, profrate)
+        return Histogram(low_pc, high_pc, counts, raw.profrate)
     width = (high_pc - low_pc) / nbuckets
     shrunk_high = low_pc + max(math.ceil(width * len(counts)), 1)
-    return Histogram(low_pc, min(shrunk_high, high_pc), counts, profrate)
+    return Histogram(low_pc, min(shrunk_high, high_pc), counts, raw.profrate)

@@ -32,6 +32,8 @@ class SalvageReport:
             (``magic``, ``comment``, ``header``, ``buckets``, ``arcs``).
         dropped: structural losses — records or whole sections that
             were missing or truncated and are absent from the data.
+        dropped_sections: the section that lost data in each drop, in
+            step with ``dropped``.
         notes: anomalies repaired or tolerated without data loss
             (replaced comment bytes, trailing garbage, ``runs == 0``).
         buckets_expected: histogram size the header declared, when the
@@ -47,6 +49,7 @@ class SalvageReport:
     consumed_bytes: int = 0
     recovered_sections: list[str] = field(default_factory=list)
     dropped: list[str] = field(default_factory=list)
+    dropped_sections: list[str] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
     buckets_expected: int | None = None
     buckets_read: int = 0
@@ -57,9 +60,10 @@ class SalvageReport:
         """Record that section ``name`` was recovered intact."""
         self.recovered_sections.append(name)
 
-    def add_drop(self, message: str) -> None:
-        """Record a structural loss (data absent from the result)."""
+    def add_drop(self, section: str, message: str) -> None:
+        """Record a structural loss in ``section`` (data absent)."""
         self.dropped.append(message)
+        self.dropped_sections.append(section)
 
     def add_note(self, message: str) -> None:
         """Record a repaired/tolerated anomaly (no data lost)."""

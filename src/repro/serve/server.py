@@ -45,6 +45,7 @@ from dataclasses import dataclass
 from repro.errors import GmonFormatError, ReproError
 from repro.fleet.headers import HeaderKey
 from repro.gmon.format import (
+    MAGIC,
     PEEK_PREFIX_LEN,
     peek_gmon_header_bytes,
     peek_needed_len,
@@ -368,7 +369,7 @@ class ReproServer:
                         )
             # a body shorter than its own header is salvage territory:
             # let the worker decide (salvage or quarantine)
-        elif head[: len(b"gmon")] != b"gmon"[: len(head)]:
+        elif not MAGIC.startswith(head[: len(MAGIC)]):
             raise HttpError(400, "not a profile data file: bad magic")
 
         # Dedup before buffering the body when we can (a retried upload

@@ -20,6 +20,12 @@ the resilience contract over the whole corpus:
 
 * strict parsing raises :class:`GmonFormatError` and nothing else;
 * salvage *never* raises, and never reports a truncated file clean;
+* one message per fault: a strict rejection's message is one salvage
+  filed for the same bytes, as a drop or as a note that appends its
+  repair after ``"; "``;
+* the header peek (:func:`repro.gmon.peek_gmon_header_bytes`) raises
+  only :class:`GmonFormatError`, and on a file strict parsing accepts
+  it returns the strict parse's six header fields;
 * the strict-first rule that salvage merges (:mod:`repro.fleet.reduce`)
   rely on: a file strict parsing accepts with ``runs != 0`` is one
   salvage reports clean, with equal data and no warnings, and every
@@ -37,7 +43,8 @@ import sys
 
 from repro.errors import GmonFormatError
 from repro.gmon import (
-    dumps_gmon, parse_gmon, parse_gmon_raw, salvage_gmon_bytes,
+    dumps_gmon, parse_gmon, parse_gmon_raw, peek_gmon_header_bytes,
+    salvage_gmon_bytes,
 )
 from repro.machine import CPU, Monitor, MonitorConfig, assemble
 from repro.machine.programs import PROGRAMS
@@ -69,21 +76,36 @@ def check_mutant(tag: str, truncated: bool, mutated: bytes) -> str | None:
     """Verify one mutant; return an error description or None."""
     try:
         strict = parse_gmon(mutated)
-    except GmonFormatError:
-        strict = None
+    except GmonFormatError as exc:
+        strict, strict_error = None, str(exc)
     except Exception as exc:  # noqa: BLE001 - the whole point of the gate
         return f"{tag}: strict raised {type(exc).__name__}: {exc}"
     try:
         salvaged, report = salvage_gmon_bytes(mutated, source=tag)
     except Exception as exc:  # noqa: BLE001
         return f"{tag}: salvage raised {type(exc).__name__}: {exc}"
+    try:
+        header = peek_gmon_header_bytes(mutated)
+    except GmonFormatError:
+        header = None
+    except Exception as exc:  # noqa: BLE001
+        return f"{tag}: header peek raised {type(exc).__name__}: {exc}"
     if truncated and report.clean:
         return f"{tag}: truncated file reported clean (silent lie)"
     if strict is None:
         if report.clean:
             return f"{tag}: strict rejected it but salvage reported clean"
+        filed = strict_error in report.dropped or any(
+            note.startswith(f"{strict_error}; ") for note in report.notes
+        )
+        if not filed:
+            return f"{tag}: salvage did not file strict's {strict_error!r}"
         return None
-    if parse_gmon_raw(mutated).runs == 0:
+    raw = parse_gmon_raw(mutated)
+    if header != (raw.comment, raw.runs, raw.low_pc, raw.high_pc,
+                  raw.nbuckets, raw.profrate):
+        return f"{tag}: header peek {header} differs from the strict parse"
+    if raw.runs == 0:
         if report.clean:
             return f"{tag}: declares runs == 0 but salvage reported clean"
         return None
@@ -123,7 +145,8 @@ def run(programs, flips: int, stride: int, out: str | None,
         log(f"FAIL {problem}")
     if verify and not failures:
         log("verify: strict raises only GmonFormatError; salvage never "
-            "raises; strict-first holds")
+            "raises; salvage files every strict error; the header peek "
+            "agrees; strict-first holds")
     return len(failures)
 
 

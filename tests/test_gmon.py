@@ -94,14 +94,6 @@ class TestRawGmon:
         assert raw == eager
         assert hash(raw) == hash(eager)
 
-    def test_arcs_as_arrays_matches_iter_arcs(self):
-        from repro.gmon import dumps_gmon, parse_gmon_raw
-
-        raw = parse_gmon_raw(dumps_gmon(_sample_data()))
-        froms, selfs, counts = raw.arcs_as_arrays()
-        assert list(zip(froms, selfs, counts)) == list(raw.iter_arcs())
-        assert len(froms) == raw.narcs
-
 
 class TestCorruption:
     def test_bad_magic(self, tmp_path):

@@ -141,6 +141,39 @@ class TestSectionRecovery:
         assert any("trailing" in m for m in report.notes)
 
 
+class TestDropCodes:
+    """A drop's GP code comes from the section that lost data."""
+
+    @pytest.mark.parametrize(
+        "cut, sections, codes",
+        [
+            (MAGIC_END + 1, ["comment"], ["GP404"]),
+            (MAGIC_END + 2 + 3, ["comment"], ["GP404"]),
+            (COMMENT_END + 10, ["header"], ["GP404"]),
+            # the arc count goes with the buckets
+            (HEADER_END + 4 * 4 + 2, ["buckets", "arcs"], ["GP402", "GP403"]),
+            (BUCKETS_END + 2, ["arcs"], ["GP403"]),
+            (NARCS_END + 20 + 7, ["arcs"], ["GP403"]),
+        ],
+        ids=["comment-length", "comment", "header", "buckets", "arc-count",
+             "arcs"],
+    )
+    def test_cut_inside_each_section(self, blob, cut, sections, codes):
+        _, report = salvage_gmon_bytes(blob[:cut])
+        assert report.dropped_sections == sections
+        diags = salvage_passes(report)
+        assert [d.code for d in diags] == codes
+        assert all(d.severity is Severity.ERROR for d in diags)
+
+    def test_zero_buckets_over_a_range_drop_buckets(self, blob):
+        hostile = bytearray(blob[:HEADER_END] + blob[BUCKETS_END:])
+        struct.pack_into("<I", hostile, COMMENT_END + 20, 0)
+        data, report = salvage_gmon_bytes(bytes(hostile))
+        assert data.histogram.counts == []
+        assert data.arcs == _victim().condensed_arcs()
+        assert [d.code for d in salvage_passes(report)] == ["GP402"]
+
+
 class TestHostileHeaders:
     def test_huge_nbuckets_strict_fails_fast(self, blob, tmp_path):
         hostile = bytearray(blob)
@@ -189,6 +222,7 @@ class TestHostileHeaders:
         assert data.histogram.counts == []
         assert data.arcs == _victim().condensed_arcs()
         assert any("impossible histogram bounds" in m for m in report.dropped)
+        assert [d.code for d in salvage_passes(report)] == ["GP402"]
 
     def test_zero_profrate_repaired_with_note(self, blob):
         hostile = bytearray(blob)

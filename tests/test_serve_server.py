@@ -210,6 +210,33 @@ class TestUploadPath:
 
         run(go())
 
+    def test_short_body_checks_all_six_magic_bytes(self, tmp_path):
+        """A body shorter than the comment length field is held to the
+        whole magic, version bytes included; a truncated body with the
+        right magic still goes to salvage-or-quarantine."""
+        async def go():
+            server, host, port = await booted(tmp_path)
+            try:
+                status, _, body = await http(
+                    host, port, "POST", "/v1/profiles/t1", b"gmon\x02\x00\x00"
+                )
+                assert status == 400
+                assert "not a profile data file" in json.loads(body)["error"]
+                _, _, listing = await http(host, port, "GET",
+                                           "/v1/quarantine/t1")
+                assert json.loads(listing) == []
+                status, _, _ = await http(
+                    host, port, "POST", "/v1/profiles/t1", b"gmon\x01\x00\x00"
+                )
+                assert status == 422
+                _, _, listing = await http(host, port, "GET",
+                                           "/v1/quarantine/t1")
+                assert len(json.loads(listing)) == 1
+            finally:
+                await server.stop()
+
+        run(go())
+
     def test_nonsense_header_is_not_a_500(self, tmp_path):
         """Right magic, structurally-parseable but invalid header
         (high_pc below low_pc): salvage territory, never a crash."""

@@ -11,16 +11,16 @@ Shape reproduced:
   its cycle clock advances across every operation;
 * profiling OFF costs the kernel nothing (cycle-identical to an
   unmonitored run);
-* windows partition the run: per-window samples sum to a whole-run
-  profile's samples.
+* windows partition the run: the windows' merge is the whole run's
+  profile, byte for byte.
 
 Benchmarked quantities: the extract (snapshot) cost, and a full
 window-recording session.
 """
 
-import pytest
-
+from repro.gmon import dumps_gmon
 from repro.kernel import Kgmon, KernelSession
+from repro.machine.smp import reduce_shards
 
 from benchmarks.conftest import report
 
@@ -28,11 +28,11 @@ from benchmarks.conftest import report
 def test_extract_cost_and_isolation(benchmark):
     session = KernelSession(iterations=600)
     kgmon = Kgmon(session)
-    session.run_slice(20000)
+    session.run_slice(32)
     data = benchmark(kgmon.extract, "bench window")
     # extraction is a copy: continuing the kernel must not mutate it.
     ticks_before = data.total_ticks
-    session.run_slice(20000)
+    assert session.run_slice(32)
     assert data.total_ticks == ticks_before
     report(
         "kgmon extract",
@@ -44,14 +44,15 @@ def test_extract_cost_and_isolation(benchmark):
 def test_profiling_off_is_free(benchmark):
     def run_off():
         session = KernelSession(iterations=150)
-        Kgmon(session).off()
+        kgmon = Kgmon(session)
+        kgmon.off()
         session.run_to_completion()
-        return session.cpu.cycles
+        return kgmon.status().kernel_cycles
 
     def run_on():
         session = KernelSession(iterations=150)
         session.run_to_completion()
-        return session.cpu.cycles
+        return Kgmon(session).status().kernel_cycles
 
     off_cycles = run_off()
     on_cycles = run_on()
@@ -70,15 +71,14 @@ def test_windows_partition_the_run(benchmark):
         kgmon = Kgmon(session)
         windows = []
         while not session.halted:
-            session.run_slice(6000)
-            windows.append(kgmon.extract())
-            kgmon.reset()
+            session.run_slice(10)
+            windows.append(kgmon.extract("run", reset=True))
         return session, windows
 
     session, windows = benchmark.pedantic(record_windows, rounds=1, iterations=1)
     whole_session = KernelSession(iterations=300)
     whole_session.run_to_completion()
-    whole = Kgmon(whole_session).extract()
+    whole = Kgmon(whole_session).extract("run")
     window_ticks = sum(w.total_ticks for w in windows)
     window_calls = sum(w.total_calls for w in windows)
     report(
@@ -89,10 +89,11 @@ def test_windows_partition_the_run(benchmark):
          ("Σ window calls", window_calls),
          ("whole-run calls", whole.total_calls)],
     )
-    # Calls partition exactly; ticks to within a couple (mid-run resets
-    # reorder spontaneous-site hash chains, nudging mcount cost).
-    assert abs(window_ticks - whole.total_ticks) <= 3
-    assert window_calls == whole.total_calls
+    # A reset keeps each process's cost table, so the partition is
+    # exact: the merged windows are the whole run's bytes.
+    assert len(windows) > 1
+    merged = reduce_shards(windows, comment="run", runs=1)
+    assert dumps_gmon(merged) == dumps_gmon(whole)
 
 
 def test_kernel_never_stops(benchmark):
@@ -100,17 +101,17 @@ def test_kernel_never_stops(benchmark):
     kgmon = Kgmon(session)
 
     def control_storm():
-        before = session.cpu.cycles
-        session.run_slice(2000)
+        before = kgmon.status().kernel_cycles
+        session.run_slice(3)
         kgmon.on()
-        session.run_slice(2000)
+        session.run_slice(3)
         kgmon.extract()
-        session.run_slice(2000)
+        session.run_slice(3)
         kgmon.off()
-        session.run_slice(2000)
+        session.run_slice(3)
         kgmon.reset()
-        session.run_slice(2000)
-        return session.cpu.cycles - before
+        session.run_slice(3)
+        return kgmon.status().kernel_cycles - before
 
     progressed = benchmark.pedantic(control_storm, rounds=1, iterations=1)
     report("Kernel progress across a control storm",

@@ -28,14 +28,14 @@ def main():
     # 1. Warm-up: the kernel serves "users"; the profiler is off.
     kgmon.off()
     for _ in range(3):
-        session.run_slice(4000)
+        session.run_slice(6)
     print(f"warm-up done: {kgmon.status().kernel_cycles} kernel cycles, "
           f"{kgmon.status().ticks} ticks gathered (profiling was off)\n")
 
     # 2. Profile a window of steady-state activity.
     kgmon.reset()
     kgmon.on()
-    while session.run_slice(4000):
+    while session.run_slice(6):
         if kgmon.status().ticks > 1500:
             break
     kgmon.off()

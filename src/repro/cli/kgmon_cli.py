@@ -3,24 +3,25 @@
 Usage::
 
     repro-kgmon [--iterations N] [--windows K] [--warmup-slices W]
-                [--out-prefix PREFIX] [--cpus N] [--sched SEED]
-                [--sched-policy POLICY]
+                [--slice-rounds R] [--out-prefix PREFIX] [--checkpoint]
+                [--cpus N] [--sched SEED] [--sched-policy POLICY]
 
-Boots the simulated kernel, optionally lets it warm up unprofiled,
-then records ``K`` profiling windows (on → run → extract → reset),
-writing each window to ``PREFIX.window<i>.gmon`` plus the kernel's
-symbol table to ``PREFIX.syms`` — the workflow the retrospective
-describes for profiling "events of interest in the kernel without
-taking the kernel down".  With ``--checkpoint``, every window slice
-also crash-safely flushes the in-flight data to ``PREFIX.ckpt.gmon``
-(atomic write), so a machine going down mid-window still leaves a
-recent consistent snapshot.
-
-With ``--cpus N``, the kernel runs on an N-CPU machine: every core
-executes the kernel workload, profiling events land in per-CPU shards
-with no cross-CPU locking, and each extracted window is the canonical
-merge of the shards (via the fleet accumulator algebra) — live
-extraction and reset never stop the machine.  Analyze a window with::
+Boots the simulated kernel on an N-CPU machine (one CPU by default),
+optionally lets it warm up unprofiled, then records ``K`` profiling
+windows (on → run → extract → reset), writing each window to
+``PREFIX.window<i>.gmon`` plus the kernel's symbol table to
+``PREFIX.syms`` — the workflow the retrospective describes for
+profiling "events of interest in the kernel without taking the kernel
+down".  A slice is ``R`` scheduling rounds, each one cycle quantum per
+CPU.  Every core executes the kernel workload, profiling events land
+in per-CPU shards with no cross-CPU locking, and each window is the
+canonical merge of the shards; windows partition the run exactly, so
+``repro-merge`` of all of them has the whole run's buckets and arcs.
+With ``--checkpoint``, every window slice also crash-safely flushes
+the in-flight data to ``PREFIX.ckpt.gmon`` (atomic write), so a
+machine going down mid-window still leaves a recent consistent
+snapshot.
+Analyze a window with::
 
     repro-gprof PREFIX.syms PREFIX.window0.gmon -k if_output/netisr -k tcp_input/tcp_output
 """
@@ -32,7 +33,15 @@ import sys
 
 from repro.errors import ReproError
 from repro.gmon import write_gmon
-from repro.kernel import Kgmon, KernelSession, SMPKernelSession, SMPKgmon
+from repro.kernel import Kgmon, KernelSession
+
+
+def _at_least_one(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -46,39 +55,39 @@ def main(argv: list[str] | None = None) -> int:
                         help="number of profiling windows to record")
     parser.add_argument("--warmup-slices", type=int, default=2,
                         help="unprofiled time slices before the first window")
-    parser.add_argument("--slice-instructions", type=int, default=5000,
-                        help="instructions per kernel time slice "
-                             "(uniprocessor only)")
+    parser.add_argument("--slice-rounds", type=_at_least_one, default=8,
+                        help="scheduling rounds per time slice")
     parser.add_argument("--out-prefix", default="kernel",
                         help="output file prefix")
     parser.add_argument("--checkpoint", action="store_true",
                         help="crash-safely flush in-flight window data to "
                              "PREFIX.ckpt.gmon after every slice")
-    parser.add_argument("--cpus", type=int, default=0, metavar="N",
+    parser.add_argument("--cpus", type=int, default=1, metavar="N",
                         help="run the kernel on an N-CPU machine with "
-                             "per-CPU profile shards (0 = uniprocessor)")
+                             "per-CPU profile shards")
     parser.add_argument("--sched", type=int, default=0, metavar="SEED",
-                        help="with --cpus: scheduler seed")
+                        help="scheduler seed")
     parser.add_argument("--sched-policy", default="rr",
                         choices=["rr", "random", "affinity", "skew"],
-                        help="with --cpus: slice scheduling policy")
-    parser.add_argument("--slice-rounds", type=int, default=8,
-                        help="with --cpus: scheduling rounds per window slice")
+                        help="slice scheduling policy")
     opts = parser.parse_args(argv)
     try:
-        if opts.cpus:
-            return _run_smp(opts)
-        session = KernelSession(iterations=opts.iterations)
+        session = KernelSession(
+            ncpus=opts.cpus,
+            iterations=opts.iterations,
+            policy=opts.sched_policy,
+            seed=opts.sched,
+        )
         kgmon = Kgmon(session)
         kgmon.off()
         for _ in range(opts.warmup_slices):
-            session.run_slice(opts.slice_instructions)
+            session.run_slice(opts.slice_rounds)
         session.symbol_table().save(f"{opts.out_prefix}.syms")
         recorded = 0
         while recorded < opts.windows and not session.halted:
             kgmon.reset()
             kgmon.on()
-            session.run_slice(opts.slice_instructions)
+            session.run_slice(opts.slice_rounds)
             kgmon.off()
             if opts.checkpoint:
                 kgmon.checkpoint(
@@ -91,8 +100,8 @@ def main(argv: list[str] | None = None) -> int:
             status = kgmon.status()
             print(
                 f"window {recorded}: {window.total_ticks} ticks, "
-                f"{window.total_calls} calls -> {path} "
-                f"(kernel at {status.kernel_cycles} cycles, "
+                f"{window.total_calls} calls merged from {opts.cpus} "
+                f"shard(s) -> {path} (wall {status.kernel_cycles} cycles, "
                 f"{'halted' if status.halted else 'running'})"
             )
             recorded += 1
@@ -101,45 +110,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ReproError, OSError) as exc:
         print(f"repro-kgmon: {exc}", file=sys.stderr)
         return 1
-
-
-def _run_smp(opts) -> int:
-    """The --cpus path: windows extracted live from per-CPU shards."""
-    session = SMPKernelSession(
-        ncpus=opts.cpus,
-        iterations=opts.iterations,
-        policy=opts.sched_policy,
-        seed=opts.sched,
-    )
-    kgmon = SMPKgmon(session)
-    kgmon.off()
-    for _ in range(opts.warmup_slices):
-        session.run_slice(opts.slice_rounds)
-    session.symbol_table().save(f"{opts.out_prefix}.syms")
-    recorded = 0
-    while recorded < opts.windows and not session.halted:
-        kgmon.reset()
-        kgmon.on()
-        session.run_slice(opts.slice_rounds)
-        kgmon.off()
-        if opts.checkpoint:
-            kgmon.checkpoint(
-                f"{opts.out_prefix}.ckpt.gmon",
-                comment=f"checkpoint during window {recorded}",
-            )
-        window = kgmon.extract(f"window {recorded}")
-        path = f"{opts.out_prefix}.window{recorded}.gmon"
-        write_gmon(window, path)
-        status = kgmon.status()
-        print(
-            f"window {recorded}: {window.total_ticks} ticks, "
-            f"{window.total_calls} calls merged from {opts.cpus} shard(s) "
-            f"-> {path} (wall {status.kernel_cycles} cycles, "
-            f"{'halted' if status.halted else 'running'})"
-        )
-        recorded += 1
-    print(f"symbols -> {opts.out_prefix}.syms")
-    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

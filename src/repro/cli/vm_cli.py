@@ -148,7 +148,7 @@ def cmd_asm(opts) -> int:
     return 0
 
 
-def cmd_run_smp(opts, exe: Executable) -> int:
+def cmd_run_cpus(opts, exe: Executable) -> int:
     """The --cpus path: a sharded multi-CPU run of ``--procs`` instances."""
     from repro.machine.smp import SMPMachine
 
@@ -203,7 +203,7 @@ def cmd_run(opts) -> int:
         cycles_per_tick=opts.ticks,
     )
     if opts.cpus:
-        return cmd_run_smp(opts, exe)
+        return cmd_run_cpus(opts, exe)
     monitor = None
     if opts.count and not exe.counter_names:
         raise ReproError(

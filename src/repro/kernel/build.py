@@ -18,11 +18,13 @@ subsystems whose interactions made that interesting:
 * a **clock interrupt** (``hardclock → timeout``).
 
 The kernel runs a main loop of ``iterations`` scheduling quanta and can
-be executed in instruction slices, so profiling can be controlled live
-(see :mod:`repro.kernel.kgmon`) "without taking the kernel down".
+be executed in slices, so profiling can be controlled live (see
+:mod:`repro.kernel.kgmon`) "without taking the kernel down".
 """
 
 from __future__ import annotations
+
+from repro.errors import KernelError
 
 #: Routines belonging to the networking stack's big cycle.
 NETWORK_CYCLE = (
@@ -64,9 +66,9 @@ def build_kernel_source(
     like a loopback storm in a real stack.
     """
     if min(loopback_every, ack_every, disk_miss_every) < 2:
-        raise ValueError("loopback/ack/disk knobs must be >= 2")
+        raise KernelError("loopback/ack/disk knobs must be >= 2")
     if iterations < 1:
-        raise ValueError("iterations must be >= 1")
+        raise KernelError("iterations must be >= 1")
     return f"""
 ; ---- simulated time-sharing kernel ----------------------------------
 .func kernel_main

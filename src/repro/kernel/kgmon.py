@@ -6,18 +6,21 @@ of interest in the kernel without taking the kernel down. ... The
 programmer's interface allowed us to turn the profiler on and off,
 extract the profiling data, and reset the data." (retrospective)
 
-:class:`KernelSession` owns a running simulated kernel (the CPU is
-executed in instruction slices, standing in for a kernel that keeps
-serving users between control operations).  :class:`Kgmon` is the
-control tool: ``on`` / ``off`` / ``extract`` / ``reset`` / ``status``,
-all usable while the kernel keeps running.
+:class:`KernelSession` owns a running simulated kernel on an
+:class:`~repro.machine.smp.SMPMachine` of ``ncpus`` CPUs (one by
+default): each core runs the kernel workload as its own process, and
+profiling events land in per-CPU shards without cross-CPU locking.  The
+kernel executes in slices of scheduling rounds (one cycle quantum per
+CPU each), standing in for a kernel that keeps serving users between
+control operations.  :class:`Kgmon` is the control tool: ``on`` /
+``off`` / ``extract`` / ``reset`` / ``checkpoint`` / ``status``, all
+usable while the kernel keeps running.
 
-:class:`SMPKernelSession` scales the scenario to N CPUs: each core
-runs the kernel workload as its own process on an
-:class:`~repro.machine.smp.SMPMachine`, profiling data lands in
-per-CPU shards, and :class:`SMPKgmon` extracts/resets those shards
-live — merged through the fleet algebra into one canonical profile
-whose bytes are independent of CPU count and slice schedule.
+An extraction merges the shards through the fleet algebra into one
+canonical profile, whose bytes do not depend on the CPU count or the
+slice schedule.  A reset clears shard data but never a process's §3.1
+cost table, so windows partition the run exactly: their merge is the
+uninterrupted run's profile, byte for byte.
 """
 
 from __future__ import annotations
@@ -27,171 +30,19 @@ from dataclasses import dataclass
 from repro.core.profiledata import ProfileData
 from repro.core.symbols import SymbolTable
 from repro.errors import KernelError
-from repro.machine.assembler import assemble
-from repro.machine.executable import Executable
-from repro.machine.fastcpu import FastCPU
-from repro.machine.monitor import Monitor, MonitorConfig
 from repro.kernel.build import build_kernel_source
+from repro.machine.assembler import assemble
+from repro.machine.cpu import InterruptSource
+from repro.machine.executable import Executable
+from repro.machine.smp import SMPMachine, reduce_shards
 
 
 class KernelSession:
-    """A live simulated kernel with profiling machinery attached.
-
-    Arguments:
-        iterations: scheduling quanta the kernel main loop executes.
-        cycles_per_tick: profiling clock granularity.
-        profrate: nominal ticks/second for converting ticks to seconds.
-        **build_kw: forwarded to
-            :func:`repro.kernel.build.build_kernel_source`.
-    """
-
-    def __init__(
-        self,
-        iterations: int = 400,
-        cycles_per_tick: int = 50,
-        profrate: int = 100,
-        device_interrupts: bool = True,
-        irq_period: int = 900,
-        **build_kw,
-    ):
-        source = build_kernel_source(iterations=iterations, **build_kw)
-        self.executable: Executable = assemble(source, name="kernel", profile=True)
-        self.monitor = Monitor(
-            MonitorConfig(
-                self.executable.low_pc,
-                self.executable.high_pc,
-                cycles_per_tick=cycles_per_tick,
-                profrate=profrate,
-            )
-        )
-        # Device interrupts arrive asynchronously: their handler's arcs
-        # have no identifiable call site and show up as <spontaneous> —
-        # the §3.1 "non-standard calling sequence" case, live.
-        from repro.machine.cpu import InterruptSource
-
-        interrupts = (
-            [InterruptSource("irq_device", irq_period)]
-            if device_interrupts
-            else []
-        )
-        # The fast engine keeps kgmon's on/off/extract/reset semantics:
-        # the interpreter consults the live monitor and arc table, so
-        # control operations between slices behave exactly as with the
-        # reference engine (the equivalence suite pins this).
-        self.cpu = FastCPU(self.executable, self.monitor, interrupts=interrupts)
-
-    # -- keeping the kernel running ------------------------------------------------
-
-    def run_slice(self, instructions: int = 2000) -> bool:
-        """Execute one time slice; returns True while the kernel lives."""
-        if self.cpu.halted:
-            return False
-        self.cpu.run(max_instructions=instructions)
-        return not self.cpu.halted
-
-    def run_to_completion(self) -> None:
-        """Let the kernel finish its workload."""
-        self.cpu.run()
-
-    @property
-    def halted(self) -> bool:
-        """Whether the kernel workload has finished."""
-        return self.cpu.halted
-
-    def symbol_table(self) -> SymbolTable:
-        """The kernel's symbol table (for analyzing extracted data)."""
-        return self.executable.symbol_table()
-
-
-@dataclass
-class KgmonStatus:
-    """What ``kgmon status`` reports.
-
-    Attributes:
-        enabled: whether the profiler is currently gathering.
-        ticks: PC samples accumulated since the last reset.
-        arcs: distinct (call site, callee) pairs recorded.
-        calls: total arc traversals recorded.
-        kernel_cycles: the kernel's cycle clock (keeps advancing even
-            with profiling off — the system never stops).
-        halted: whether the kernel workload has finished.
-    """
-
-    enabled: bool
-    ticks: int
-    arcs: int
-    calls: int
-    kernel_cycles: int
-    halted: bool
-
-
-class Kgmon:
-    """The kgmon control tool, bound to one kernel session."""
-
-    def __init__(self, session: KernelSession):
-        self.session = session
-
-    def on(self) -> None:
-        """Start (or resume) profiling the running kernel."""
-        self.session.monitor.moncontrol(True)
-
-    def off(self) -> None:
-        """Stop profiling; the kernel keeps running at full speed."""
-        self.session.monitor.moncontrol(False)
-
-    def reset(self) -> None:
-        """Zero the histogram and arc table without stopping anything."""
-        self.session.monitor.reset()
-
-    def extract(self, comment: str = "kgmon extract") -> ProfileData:
-        """Pull out the profiling data gathered so far.
-
-        The kernel is untouched: extraction copies the monitor state,
-        which keeps accumulating unless :meth:`reset` is called.
-        """
-        if self.session.cpu.instructions_executed == 0:
-            raise KernelError("kernel has not run yet; nothing to extract")
-        return self.session.monitor.snapshot(comment)
-
-    def checkpoint(
-        self, path, comment: str = "kgmon checkpoint", injector=None
-    ) -> ProfileData:
-        """Flush the current data to ``path`` crash-safely, while running.
-
-        A kernel cannot be re-run to recover a lost profile; the
-        checkpoint is an atomic write (temp file + rename), so a machine
-        going down mid-flush still leaves the previous complete snapshot
-        at ``path``.  Returns the flushed data.  ``injector`` threads
-        the fault-injection harness through the write (tests only).
-        """
-        from repro.gmon import write_gmon
-
-        data = self.extract(comment)
-        write_gmon(data, path, injector=injector)
-        return data
-
-    def status(self) -> KgmonStatus:
-        """Report the monitor and kernel state."""
-        mon = self.session.monitor
-        return KgmonStatus(
-            enabled=mon.enabled,
-            ticks=mon.histogram.total_ticks,
-            arcs=len(mon.arc_table),
-            calls=sum(a.count for a in mon.arc_table.arcs()),
-            kernel_cycles=self.session.cpu.cycles,
-            halted=self.session.halted,
-        )
-
-
-# ------------------------------------------------------------------- SMP
-
-
-class SMPKernelSession:
     """A live simulated kernel on an N-CPU machine.
 
     Each CPU executes the kernel workload as its own process (the
     shared-text, per-core-state shape of a real SMP kernel); profiling
-    events are gathered into per-CPU shards without cross-CPU locking.
+    events are gathered into per-CPU shards.
 
     Arguments:
         ncpus: simulated CPU count.
@@ -200,15 +51,17 @@ class SMPKernelSession:
         policy, seed, quantum: slice scheduler configuration (the
             merged profile's bytes do not depend on them).
         engine: interpreter engine (``fast`` default).
-        device_interrupts, irq_period: as for :class:`KernelSession`,
-            delivered independently on each core's own clock.
+        device_interrupts, irq_period: device interrupts dispatch
+            ``irq_device`` with no call site, so its arcs show up as
+            <spontaneous> (§3.1's non-standard calling sequence, live);
+            each core takes them on its own clock.
         **build_kw: forwarded to
             :func:`repro.kernel.build.build_kernel_source`.
     """
 
     def __init__(
         self,
-        ncpus: int = 2,
+        ncpus: int = 1,
         iterations: int = 400,
         cycles_per_tick: int = 50,
         profrate: int = 100,
@@ -220,9 +73,6 @@ class SMPKernelSession:
         irq_period: int = 900,
         **build_kw,
     ):
-        from repro.machine.cpu import InterruptSource
-        from repro.machine.smp import SMPMachine
-
         source = build_kernel_source(iterations=iterations, **build_kw)
         self.executable: Executable = assemble(source, name="kernel", profile=True)
         interrupts = (
@@ -243,7 +93,7 @@ class SMPKernelSession:
             interrupts=interrupts,
         )
 
-    def run_slice(self, rounds: int = 4) -> bool:
+    def run_slice(self, rounds: int = 8) -> bool:
         """Execute scheduling rounds; returns True while any core lives."""
         return self.machine.run_rounds(rounds)
 
@@ -261,15 +111,32 @@ class SMPKernelSession:
         return self.executable.symbol_table()
 
 
-class SMPKgmon:
-    """The kgmon control tool for an N-CPU kernel session.
+@dataclass
+class KgmonStatus:
+    """What ``kgmon status`` reports.
 
-    The same verbs as :class:`Kgmon` — on/off/extract/reset/status —
-    but extraction snapshots every CPU's shard and reduces them through
-    the fleet merge algebra into one canonical profile.
+    Attributes:
+        enabled: whether the profiler is currently gathering.
+        ticks: PC samples accumulated since the last reset.
+        arcs: distinct (call site, callee) pairs recorded, on any CPU.
+        calls: total arc traversals recorded.
+        kernel_cycles: the machine's wall clock (keeps advancing even
+            with profiling off — the system never stops).
+        halted: whether the kernel workload has finished.
     """
 
-    def __init__(self, session: SMPKernelSession):
+    enabled: bool
+    ticks: int
+    arcs: int
+    calls: int
+    kernel_cycles: int
+    halted: bool
+
+
+class Kgmon:
+    """The kgmon control tool, bound to one kernel session."""
+
+    def __init__(self, session: KernelSession):
         self.session = session
 
     def on(self) -> None:
@@ -284,33 +151,34 @@ class SMPKgmon:
         """Zero every CPU's shard without stopping anything."""
         self.session.machine.extract(reset=True)
 
-    def extract_shards(
-        self, comment: str = "", reset: bool = False
-    ) -> list[ProfileData]:
-        """Per-CPU shard snapshots, optionally clearing the shards."""
-        return self.session.machine.extract(comment=comment, reset=reset)
-
     def extract(
         self, comment: str = "kgmon extract", reset: bool = False
     ) -> ProfileData:
         """The merged profile gathered so far (one canonical gmon).
 
-        ``runs`` in the result is the process count, never the shard
-        count, so extractions from machines of different widths stay
+        The kernel is untouched: extraction copies the shards, which
+        keep accumulating unless ``reset`` clears them.  ``runs`` in the
+        result is the process count, never the shard count, so
+        extractions from machines of different widths stay
         byte-comparable.
         """
         machine = self.session.machine
         if all(p.cpu.instructions_executed == 0 for p in machine.procs):
             raise KernelError("kernel has not run yet; nothing to extract")
-        from repro.machine.smp import reduce_shards
-
-        parts = self.extract_shards(reset=reset)
+        parts = machine.extract(reset=reset)
         return reduce_shards(parts, comment=comment, runs=len(machine.procs))
 
     def checkpoint(
         self, path, comment: str = "kgmon checkpoint", injector=None
     ) -> ProfileData:
-        """Crash-safely flush the merged profile to ``path`` while running."""
+        """Flush the merged profile to ``path`` crash-safely, while running.
+
+        A kernel cannot be re-run to recover a lost profile; the
+        checkpoint is an atomic write (temp file + rename), so a machine
+        going down mid-flush still leaves the previous complete snapshot
+        at ``path``.  Returns the flushed data.  ``injector`` threads
+        the fault-injection harness through the write (tests only).
+        """
         from repro.gmon import write_gmon
 
         data = self.extract(comment)
@@ -323,10 +191,15 @@ class SMPKgmon:
         enabled = any(
             p.monitor is not None and p.monitor.enabled for p in machine.procs
         )
+        arcs = {
+            (arc.from_pc, arc.self_pc)
+            for shard in machine.shards
+            for arc in shard.arcs.arcs()
+        }
         return KgmonStatus(
             enabled=enabled,
             ticks=machine.total_ticks(),
-            arcs=sum(len(shard.arcs) for shard in machine.shards),
+            arcs=len(arcs),
             calls=machine.total_calls(),
             kernel_cycles=machine.wall_cycles,
             halted=machine.halted,

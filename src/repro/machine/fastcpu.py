@@ -572,7 +572,11 @@ class FastCPU(CPU):
         # reach it (after budget checks and interrupt delivery).
         cycles = self.cycles
         n = self.instructions_executed
-        stop_n = n + max_instructions if max_instructions is not None else -1
+        # ``-1`` means no budget; a negative budget runs nothing, as in
+        # ``CPU.run``, and must not land on that sentinel.
+        stop_n = -1
+        if max_instructions is not None:
+            stop_n = n + max(max_instructions, 0)
         idx, rem = divmod(self.pc, isize)
         trap = None
         if rem or idx < 0 or idx > n_instr:

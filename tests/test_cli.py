@@ -200,6 +200,25 @@ class TestKgmonCli:
         out = capsys.readouterr().out
         assert "tcp_output" in out
 
+    def test_zero_iterations_is_an_error_not_a_traceback(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert kgmon_main(["--iterations", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err == "repro-kgmon: iterations must be >= 1\n"
+        assert not list(tmp_path.iterdir())
+
+    def test_zero_slice_rounds_is_a_usage_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            kgmon_main(["--slice-rounds", "0"])
+        assert exc.value.code == 2
+        assert "--slice-rounds: must be >= 1, got 0" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
 
 @pytest.mark.parametrize(
     "tool,argv,message",

@@ -23,7 +23,7 @@ from repro.check import check_executable
 from repro.core.histogram import Histogram
 from repro.errors import MachineError
 from repro.gmon import dumps_gmon
-from repro.kernel.kgmon import Kgmon, KernelSession, SMPKernelSession
+from repro.kernel import KernelSession, build_kernel_source
 from repro.lang import compile_to_asm
 from repro.lang.programs import REL_PROGRAMS
 from repro.machine import CPU, ENGINES, FastCPU, Monitor, MonitorConfig, assemble, make_cpu
@@ -193,11 +193,25 @@ def test_mid_work_tick_crossing_identical():
         assert_identical(run_both(source, cycles_per_tick=cycles_per_tick))
 
 
-@pytest.mark.parametrize("max_instructions", [0, 1, 17, 500])
+@pytest.mark.parametrize("max_instructions", [-5, -1, 0, 1, 17, 500])
 def test_instruction_budget_identical(max_instructions):
     assert_identical(
         run_both(PROGRAMS["fib"](8), max_instructions=max_instructions)
     )
+
+
+def test_negative_budget_after_resume_identical():
+    """A negative budget runs nothing on a resumed machine either."""
+    states = {}
+    for engine in ENGINES:
+        exe = assemble(PROGRAMS["fib"](8), profile=True)
+        mon = Monitor(MonitorConfig(exe.low_pc, exe.high_pc))
+        cpu = make_cpu(exe, mon, engine=engine)
+        cpu.run(max_instructions=3)
+        cpu.run(max_instructions=-1)
+        states[engine] = (machine_state(cpu), monitor_state(mon))
+    assert states["fast"] == states["reference"]
+    assert states["fast"][0]["instructions"] == 3
 
 
 @pytest.mark.parametrize("max_cycles", [0, 1, 100, 777, 5000])
@@ -519,21 +533,24 @@ def test_smp_monitors_never_step(sharding, ncpus, interrupts, step_calls):
 
 
 def test_kernel_sessions_never_step(step_calls):
-    """kgmon's max_instructions slices and the SMP kernel's max_cycles
-    quanta, both with device interrupts and live control."""
-    session = KernelSession(iterations=40)
-    kgmon = Kgmon(session)
-    session.run_slice(500)
-    kgmon.off()
-    session.run_slice(500)
-    kgmon.on()
-    kgmon.reset()
-    while session.run_slice(777):
-        pass
-    assert session.cpu.interrupts_delivered > 0
-    smp = SMPKernelSession(ncpus=2, iterations=40)
-    smp.run_to_completion()
-    assert smp.halted
+    """The kernel in max_instructions slices on a stock monitor, and the
+    kernel session's max_cycles quanta on two CPUs, both with device
+    interrupts, the first with moncontrol and reset mid-run."""
+    exe = assemble(build_kernel_source(iterations=40), profile=True)
+    mon = Monitor(MonitorConfig(exe.low_pc, exe.high_pc, cycles_per_tick=50))
+    cpu = FastCPU(exe, mon, interrupts=[InterruptSource("irq_device", 900)])
+    cpu.run(max_instructions=500)
+    mon.moncontrol(False)
+    cpu.run(max_instructions=500)
+    mon.moncontrol(True)
+    mon.reset()
+    while not cpu.halted:
+        cpu.run(max_instructions=777)
+    assert cpu.interrupts_delivered > 0
+    session = KernelSession(ncpus=2, iterations=40)
+    session.run_to_completion()
+    assert session.halted
+    assert all(p.cpu.interrupts_delivered > 0 for p in session.machine.procs)
     assert step_calls[0] == 0
 
 

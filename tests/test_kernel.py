@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import AnalysisOptions, analyze
 from repro.errors import KernelError
+from repro.gmon import dumps_gmon
 from repro.kernel import (
     CYCLE_CLOSING_ARCS,
     Kgmon,
@@ -11,6 +12,7 @@ from repro.kernel import (
     NETWORK_CYCLE,
     build_kernel_source,
 )
+from repro.machine.smp import reduce_shards
 
 
 @pytest.fixture(scope="module")
@@ -25,9 +27,9 @@ class TestKernelProgram:
         assert finished_session.halted
 
     def test_build_validates_knobs(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(KernelError):
             build_kernel_source(loopback_every=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(KernelError):
             build_kernel_source(iterations=0)
 
     def test_network_stack_forms_one_big_cycle(self, finished_session):
@@ -77,7 +79,8 @@ class TestKernelProgram:
         data = Kgmon(finished_session).extract()
         profile = analyze(data, finished_session.symbol_table())
         entry = profile.entry("irq_device")
-        assert entry.ncalls == finished_session.cpu.interrupts_delivered > 0
+        (proc,) = finished_session.machine.procs
+        assert entry.ncalls == proc.cpu.interrupts_delivered > 0
         assert entry.parents[0].name is None
         # but its *own* children are attributed normally
         assert {c.name for c in entry.children} == {"intr_ack"}
@@ -85,7 +88,7 @@ class TestKernelProgram:
     def test_interrupts_can_be_disabled(self):
         session = KernelSession(iterations=50, device_interrupts=False)
         session.run_to_completion()
-        assert session.cpu.interrupts_delivered == 0
+        assert session.machine.procs[0].cpu.interrupts_delivered == 0
 
     def test_scheduler_and_fs_not_in_cycle(self, finished_session):
         data = Kgmon(finished_session).extract()
@@ -100,9 +103,10 @@ class TestKgmonControl:
         session = KernelSession(iterations=50)
         kgmon = Kgmon(session)
         kgmon.off()
-        session.run_slice(5000)
+        session.run_slice(3)
         status = kgmon.status()
         assert status.kernel_cycles > 0
+        assert not status.halted
         assert status.ticks == 0
         assert status.calls == 0
 
@@ -110,11 +114,12 @@ class TestKgmonControl:
         session = KernelSession(iterations=200)
         kgmon = Kgmon(session)
         kgmon.off()
-        session.run_slice(4000)
+        session.run_slice(6)
         kgmon.on()
-        session.run_slice(4000)
+        session.run_slice(6)
         kgmon.off()
         mid = kgmon.status()
+        assert not mid.halted
         session.run_to_completion()
         after = kgmon.status()
         assert after.ticks == mid.ticks  # nothing gathered after 'off'
@@ -123,7 +128,8 @@ class TestKgmonControl:
     def test_extract_does_not_disturb_gathering(self):
         session = KernelSession(iterations=200)
         kgmon = Kgmon(session)
-        session.run_slice(4000)
+        session.run_slice(6)
+        assert not session.halted
         first = kgmon.extract("w1")
         session.run_to_completion()
         second = kgmon.extract("w2")
@@ -131,25 +137,35 @@ class TestKgmonControl:
         assert first.comment == "w1"
 
     def test_reset_starts_fresh_window(self):
-        session = KernelSession(iterations=300)
-        kgmon = Kgmon(session)
-        session.run_slice(5000)
-        before = kgmon.extract("before")
-        kgmon.reset()
-        assert kgmon.status().ticks == 0
-        session.run_to_completion()
-        window = kgmon.extract("after")
-        total = before.total_ticks + window.total_ticks
-        # Windows partition the run's samples.  (A tolerance of a couple
-        # of ticks is faithful: resetting mid-run reorders the arc
-        # table's hash chains for spontaneous call sites, shifting the
-        # monitoring routine's cycle cost slightly — enough to move a
-        # tick boundary.)
-        unsliced = KernelSession(iterations=300)
-        unsliced.run_to_completion()
-        whole = Kgmon(unsliced).extract()
-        assert abs(total - whole.total_ticks) <= 2
-        assert before.total_calls + window.total_calls == whole.total_calls
+        # A reset clears shard data, never a process's cost table, so
+        # the windows partition the run: merged, they are its bytes.
+        for ncpus in (1, 2):
+            session = KernelSession(ncpus=ncpus, iterations=300)
+            kgmon = Kgmon(session)
+            session.run_slice(8)
+            assert not session.halted
+            before = kgmon.extract("before")
+            kgmon.reset()
+            assert kgmon.status().ticks == 0
+            session.run_to_completion()
+            window = kgmon.extract("after")
+            assert before.total_ticks > 0 and window.total_ticks > 0
+            merged = reduce_shards([before, window], comment="run", runs=ncpus)
+            unsliced = KernelSession(ncpus=ncpus, iterations=300)
+            unsliced.run_to_completion()
+            whole = Kgmon(unsliced).extract("run")
+            assert dumps_gmon(merged) == dumps_gmon(whole)
+
+    def test_status_matches_the_extracted_window(self):
+        # An arc taken on several CPUs is one arc of the merged window.
+        for ncpus in (1, 4):
+            session = KernelSession(ncpus=ncpus, iterations=100)
+            session.run_to_completion()
+            kgmon = Kgmon(session)
+            status, window = kgmon.status(), kgmon.extract()
+            assert status.arcs == len(window.arcs) == 29
+            assert status.calls == window.total_calls
+            assert status.ticks == window.total_ticks
 
     def test_extract_before_running_rejected(self):
         session = KernelSession(iterations=10)
@@ -161,9 +177,9 @@ class TestKgmonControl:
         # analyze it offline while the system keeps running.
         session = KernelSession(iterations=400)
         kgmon = Kgmon(session)
-        session.run_slice(8000)
+        session.run_slice(13)
         kgmon.reset()  # discard warm-up
-        session.run_slice(8000)
+        session.run_slice(13)
         window = kgmon.extract("steady state")
         profile = analyze(window, session.symbol_table())
         assert profile.total_seconds > 0

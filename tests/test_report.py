@@ -97,7 +97,12 @@ class TestGraphListing:
         text = format_graph_profile(profile, only=keep)
         assert "warm" in text
         # 'hot' only appears as a child line of main, never as an entry.
-        assert "     hot [" not in text.split("-" * 72)[0] or True
+        assert not any(line.startswith("[2]") for line in text.splitlines())
+        main_entry = text.split("-" * 72)[0].splitlines()
+        assert any(
+            line.endswith(" hot [2]") and not line.startswith("[")
+            for line in main_entry
+        )
 
     def test_removed_arcs_reported(self):
         symbols = make_symbols("m", "x", "y")

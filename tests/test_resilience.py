@@ -214,22 +214,26 @@ class TestKgmonCheckpoint:
     def test_checkpoint_while_kernel_runs(self, tmp_path):
         session = KernelSession(iterations=60)
         kgmon = Kgmon(session)
-        session.run_slice(4000)
+        session.run_slice(4)
         path = tmp_path / "kernel.ckpt.gmon"
         flushed = kgmon.checkpoint(path, comment="mid-flight")
-        assert not session.halted or True  # kernel state untouched either way
+        at_checkpoint = kgmon.status()
+        assert not at_checkpoint.halted
         on_disk = read_gmon(path)
         assert on_disk.comment == "mid-flight"
         assert on_disk.histogram.counts == flushed.histogram.counts
+        # the flush did not stop the kernel: its clock moves on
+        session.run_slice(1)
+        assert kgmon.status().kernel_cycles > at_checkpoint.kernel_cycles
 
     def test_kill_during_kgmon_checkpoint_keeps_previous(self, tmp_path):
         session = KernelSession(iterations=60)
         kgmon = Kgmon(session)
-        session.run_slice(3000)
+        session.run_slice(3)
         path = tmp_path / "kernel.ckpt.gmon"
         kgmon.checkpoint(path)
         good = path.read_bytes()
-        session.run_slice(3000)
+        assert session.run_slice(3)
         with pytest.raises(InjectedFault):
             kgmon.checkpoint(path, injector=FaultInjector(kill_after=9))
         assert path.read_bytes() == good

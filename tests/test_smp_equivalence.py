@@ -27,7 +27,7 @@ import hashlib
 import pytest
 
 from repro.gmon import dumps_gmon
-from repro.kernel import SMPKernelSession, SMPKgmon
+from repro.kernel import KernelSession, Kgmon
 from repro.machine import assemble
 from repro.machine.cpu import InterruptSource
 from repro.machine.programs import PROGRAMS
@@ -222,15 +222,15 @@ def test_golden_digest_is_of_the_bytes():
 
 
 # --------------------------------------------------------------------------
-# The SMP kernel session, both engines.
+# The kernel session on two CPUs, both engines.
 # --------------------------------------------------------------------------
 
 
 def kernel_windows(engine):
-    session = SMPKernelSession(
+    session = KernelSession(
         ncpus=2, iterations=60, seed=3, engine=engine, irq_period=700
     )
-    kgmon = SMPKgmon(session)
+    kgmon = Kgmon(session)
     kgmon.off()
     session.run_slice(2)
     windows = []
@@ -252,8 +252,8 @@ def test_smp_kernel_window_analyzes():
     """An extracted SMP window feeds the analyzer end to end."""
     from repro.core import analyze
 
-    session = SMPKernelSession(ncpus=2, iterations=80, seed=0)
-    kgmon = SMPKgmon(session)
+    session = KernelSession(ncpus=2, iterations=80, seed=0)
+    kgmon = Kgmon(session)
     session.run_slice(6)
     data = kgmon.extract("window")
     profile = analyze(data, session.symbol_table())

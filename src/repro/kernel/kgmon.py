@@ -149,7 +149,8 @@ class Kgmon:
 
     def reset(self) -> None:
         """Zero every CPU's shard without stopping anything."""
-        self.session.machine.extract(reset=True)
+        for shard in self.session.machine.shards:
+            shard.reset()
 
     def extract(
         self, comment: str = "kgmon extract", reset: bool = False

@@ -76,13 +76,6 @@ class Executable:
             raise MachineError(f"pc {pc:#x} outside text segment")
         return self.instructions[idx]
 
-    def predecoded(self):
-        """The fast interpreter's lowering of this image, built lazily
-        and cached (see :func:`repro.machine.fastcpu.predecode`)."""
-        from repro.machine.fastcpu import predecode
-
-        return predecode(self)
-
     def symbol_table(self) -> SymbolTable:
         """The executable's symbol table, for post-processing."""
         return SymbolTable(

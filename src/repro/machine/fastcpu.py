@@ -13,7 +13,7 @@ behaviour* (same cycle clock, same histogram buckets, same arc counts,
 byte-identical ``gmon.out``; the differential suite in
 ``tests/test_fastcpu_equivalence.py`` enforces this over the whole
 canned corpus plus hypothesis-generated programs) while restructuring
-the execution core around three ideas:
+the execution core around four ideas:
 
 **Predecode.**  :func:`predecode` lowers an
 :class:`~repro.machine.executable.Executable` once into parallel arrays
@@ -50,6 +50,21 @@ order.  The reference ``step()`` runs only what predecode deferred.
 Tick placement is re-implemented here, so it is the differential suite,
 not construction, that makes it identical.
 
+**Superinstructions.**  Predecode lowers each run of plain ops that the
+compiler emits for a hot idiom (a local compare-and-branch, a local
+increment, a store and reload, a loop back-edge, a parameter prologue,
+an argument set-up before a call) into one slot with one handler and
+the run's summed cost, so the loop dispatches once per run.  Every slot
+keeps its own entry, so a jump into a run executes from there.  A run
+whose summed charge would reach the event horizon runs its first
+instruction alone on the event path, so ticks still land on the exact
+pc.  A run's handler checks every member's precondition before it
+changes anything; if one fails (the member would fault) the run's first
+instruction runs alone, and the fault is raised by the plain handler at
+its reference state.  An image with a ``PUSH`` whose operand is not an
+int fuses nothing: with only int operands every value the handlers see
+is an int, whose operations cannot raise.
+
 ``MCOUNT`` — the monitoring routine, executed on every profiled call —
 is committed against the monitor's process-local, site-keyed
 :class:`~repro.machine.mcount.ArcTable` before the crossing check, as
@@ -66,6 +81,9 @@ sites, first calls, and spontaneous invocations run
 
 from __future__ import annotations
 
+from itertools import compress, islice, repeat
+from operator import add, mul
+
 from repro.errors import MachineError
 from repro.machine.cpu import CPU, Frame, _trunc_div
 from repro.machine.executable import Executable
@@ -79,8 +97,9 @@ from repro.machine.mcount import MCOUNT_BASE_COST, MCOUNT_PROBE_COST
 from repro.machine.monitor import Monitor
 
 #: Opcode numbering for the dispatch table: plain ops first, then the
-#: "event" ops the run loop handles out of line.  The order within each
-#: group is arbitrary but frozen — predecoded arrays embed it.
+#: superinstructions, then the "event" ops the run loop handles out of
+#: line.  The order within each group is arbitrary but frozen —
+#: predecoded arrays embed it.
 _PLAIN_OPS: tuple[Op, ...] = (
     Op.PUSH, Op.POP, Op.DUP, Op.SWAP,
     Op.ADD, Op.SUB, Op.MUL, Op.DIV, Op.MOD, Op.NEG,
@@ -90,8 +109,31 @@ _PLAIN_OPS: tuple[Op, ...] = (
     Op.HALT, Op.NOP, Op.OUT, Op.COUNT,
 )
 
-#: First opcode index the dispatch loop must special-case.
-EVENT_MIN = len(_PLAIN_OPS)
+#: The superinstructions (DESIGN §14): runs of plain ops that
+#: ``lang.codegen`` emits for one idiom, each dispatched as one slot.
+#: Each entry removes at least 1% of the dispatches of the benchmark's
+#: ``canned`` or ``wide`` (seed 1) pass; the columns give those shares.
+FUSED: tuple[tuple[Op, ...], ...] = (
+    #                                        idiom           canned    wide
+    (Op.LOAD, Op.PUSH, Op.LT, Op.JZ),      # while (x < k)   10.41%  13.59%
+    (Op.LOAD, Op.PUSH, Op.LE, Op.JZ),      # while (x <= k)   2.79%   0.00%
+    (Op.LOAD, Op.PUSH, Op.GT, Op.JZ),      # if (x > k)       0.37%   2.76%
+    (Op.LOAD, Op.PUSH, Op.EQ, Op.JZ),      # if (x == k)      4.99%   0.00%
+    (Op.LOAD, Op.PUSH, Op.ADD, Op.STORE),  # x = x + k        5.25%   0.12%
+    (Op.LOAD, Op.PUSH, Op.SUB, Op.CALL),   # f(x - k)         4.54%   2.66%
+    (Op.STORE, Op.LOAD, Op.PUSH),          # x = e; y op k    1.54%  10.53%
+    (Op.ADD, Op.STORE, Op.JMP),            # loop back-edge   2.68%   7.51%
+    (Op.STORE, Op.STORE),                  # prologue         1.51%   0.00%
+    (Op.LOAD, Op.LOAD),                    # f(x, y)          3.69%   0.00%
+    (Op.LOAD, Op.PUSH),                    # x op k           0.42%   5.04%
+    (Op.ADD, Op.STORE),                    # x = x + f(...)   0.95%   2.14%
+    (Op.MOD, Op.CALL),                     # f(b, a % b)      1.22%   0.00%
+)
+
+#: First superinstruction opcode, and first opcode the dispatch loop
+#: must special-case.
+FUSED_MIN = len(_PLAIN_OPS)
+EVENT_MIN = FUSED_MIN + len(FUSED)
 
 #: Event opcodes: dynamic cycle costs (WORK, MCOUNT), no fast-path
 #: lowering (DEFER -> reference step), or the sentinel planted one past
@@ -105,6 +147,38 @@ OP_OFFEND = EVENT_MIN + 3
 OPCODE_INDEX: dict[Op, int] = {op: i for i, op in enumerate(_PLAIN_OPS)}
 OPCODE_INDEX[Op.WORK] = OP_WORK
 OPCODE_INDEX[Op.MCOUNT] = OP_MCOUNT
+
+#: Per plain opcode or superinstruction: the instructions one dispatch
+#: runs, the plain opcode of its first instruction, and its static cost
+#: (summed over a run).
+SIZE: tuple[int, ...] = (1,) * FUSED_MIN + tuple(map(len, FUSED))
+FIRST: tuple[int, ...] = tuple(range(FUSED_MIN)) + tuple(
+    OPCODE_INDEX[entry[0]] for entry in FUSED
+)
+COST: tuple[int, ...] = tuple(COSTS[op] for op in _PLAIN_OPS) + tuple(
+    sum(COSTS[op] for op in entry) for entry in FUSED
+)
+
+#: The longest entry (``_fuse`` matches runs of two to four): under an
+#: instruction budget, runs dispatch while one this long still fits.
+MAX_GROUP = 4
+assert max(map(len, FUSED)) == MAX_GROUP
+
+#: Predecode's lookups, keyed by a run's plain opcodes as digits in base
+#: ``_RADIX``, first member most significant.  ``_PREFIXES`` holds the
+#: keys of every entry's first two members; ``_RUNS[k]`` maps the key
+#: of each entry of ``k`` members to its opcode.
+_RADIX = 64
+assert OP_OFFEND < _RADIX
+_PREFIXES: set[int] = set()
+_RUNS: dict[int, dict[int, int]] = {2: {}, 3: {}, 4: {}}
+for _code, _entry in enumerate(FUSED, FUSED_MIN):
+    _key = 0
+    for _op in _entry:
+        _key = _key * _RADIX + OPCODE_INDEX[_op]
+    _PREFIXES.add(_key // _RADIX ** (len(_entry) - 2))
+    _RUNS[len(_entry)][_key] = _code
+del _code, _entry, _key, _op
 
 #: Opcodes whose operand is a static code address the predecoder
 #: resolves to an instruction index (invalid targets lower to DEFER).
@@ -132,16 +206,23 @@ class _Resync(Exception):
         self.addr = addr
 
 
+class _Unfused(Exception):
+    """Internal: a member of the dispatched run would fault; its first
+    instruction must run alone."""
+
+
 class Predecoded:
     """One executable lowered to parallel arrays (cached on the image).
 
     Attributes:
-        ops: per-instruction integer opcode (``OPCODE_INDEX`` order),
-            plus the OFFEND sentinel at index ``length``.
+        ops: per-instruction integer opcode (``OPCODE_INDEX`` order, or
+            a superinstruction where a run of the table starts), plus
+            the OFFEND sentinel at index ``length``.
         args: per-instruction operand; jump/call targets are pre-divided
             to instruction indices, other operands are verbatim.
-        costs: per-instruction static cycle cost (WORK's operand and
-            MCOUNT's monitoring cost are charged by the run loop).
+        costs: per-instruction static cycle cost, summed over the run at
+            a superinstruction (WORK's operand and MCOUNT's monitoring
+            cost are charged by the run loop).
         length: number of real instructions (sentinel excluded).
         source: the instruction list this was decoded from, for cache
             validation by identity.
@@ -154,6 +235,7 @@ class Predecoded:
         ops = [0] * (n + 1)
         args: list = [None] * (n + 1)
         costs = [0] * (n + 1)
+        int_pushes = True
         for i, ins in enumerate(exe.instructions):
             op = ins.op
             operand = ins.operand
@@ -175,11 +257,10 @@ class Predecoded:
             elif op in _LOCAL_OPS or op is Op.WORK:
                 if not isinstance(operand, int) or operand < 0:
                     code = OP_DEFER
-            elif (
-                operand is None
-                and op in OPERAND_OPS
-                and op is not Op.PUSH
-            ):
+            elif op is Op.PUSH:
+                if type(operand) is not int:
+                    int_pushes = False
+            elif operand is None and op in OPERAND_OPS:
                 # GLOAD/GSTORE/COUNT with a missing operand: the
                 # reference engine raises TypeError when (and only
                 # when) the instruction executes.
@@ -188,11 +269,60 @@ class Predecoded:
             args[i] = operand
             costs[i] = COSTS[op]
         ops[n] = OP_OFFEND
+        if int_pushes:
+            _fuse(ops, costs)
         self.ops = ops
         self.args = args
         self.costs = costs
         self.length = n
         self.source = exe.instructions
+
+
+def _fuse(ops: list[int], costs: list[int]) -> None:
+    """Lower the runs of ``FUSED`` in ``ops`` and ``costs``, in place.
+
+    ``saved(i)`` is the most dispatches that runs save when the text
+    executes from slot ``i`` straight to its end.  Each slot takes the
+    run (or none) that attains it, so whichever slot control enters at,
+    the runs from there on dispatch the fewest times.  ``saved`` changes
+    only at a slot whose opcode and successor's begin an entry, so one
+    backward pass visits only those.  ``p1 < p2 < p3`` are the nearest
+    three visited slots after ``i`` and ``s1``..``s4`` the values at the
+    nearest four: ``saved(j)`` for ``i < j <= i + 4`` is the value at
+    the nearest visited slot at or after ``j``.
+    """
+    n = len(ops) - 1
+    plain = ops + [OP_OFFEND, OP_OFFEND]  # matching reads plain opcodes
+    pairs = list(map(add, map(mul, ops, repeat(_RADIX, n)), islice(ops, 1, None)))
+    runs2, runs3, runs4 = _RUNS[2], _RUNS[3], _RUNS[4]
+    p1 = p2 = p3 = n + MAX_GROUP
+    s1 = s2 = s3 = s4 = 0
+    for i in reversed(list(compress(range(n), map(_PREFIXES.__contains__, pairs)))):
+        saved = s1
+        pick = None
+        # A longer run wins a tie: its handler skips more stack traffic.
+        key = pairs[i]
+        run = runs2.get(key)
+        if run is not None:
+            s = s1 if i + 2 <= p1 else s2
+            if s + 1 >= saved:
+                saved, pick = s + 1, run
+        key = key * _RADIX + plain[i + 2]
+        run = runs3.get(key)
+        if run is not None:
+            s = s1 if i + 3 <= p1 else s2 if i + 3 <= p2 else s3
+            if s + 2 >= saved:
+                saved, pick = s + 2, run
+        run = runs4.get(key * _RADIX + plain[i + 3])
+        if run is not None:
+            s = s1 if i + 4 <= p1 else s2 if i + 4 <= p2 else s3 if i + 4 <= p3 else s4
+            if s + 3 >= saved:
+                saved, pick = s + 3, run
+        if pick is not None:
+            ops[i] = pick
+            costs[i] = COST[pick]
+        p3, p2, p1 = p2, p1, i
+        s4, s3, s2, s1 = s3, s2, s1, saved
 
 
 def predecode(exe: Executable) -> Predecoded:
@@ -224,12 +354,14 @@ class FastCPU(CPU):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._handlers = self._build_handlers()
+        # The handlers read the operands of one predecoded image.
+        self._decoded: Predecoded | None = None
+        self._handlers: list = []
 
     # -- the dispatch table -------------------------------------------------------
 
-    def _build_handlers(self) -> list:
-        """Bind one closure per plain opcode.
+    def _build_handlers(self, code: list) -> list:
+        """Bind one closure per plain opcode and superinstruction.
 
         Handlers take ``(operand, index)`` and return the next
         instruction index.  They mutate the same stack/frame/global
@@ -240,6 +372,10 @@ class FastCPU(CPU):
         the pre-advance pc for arithmetic and global-slot faults.
         Handlers never touch the clock; the run loop owns cycle
         accounting.
+
+        A superinstruction's handler reads its later members' operands
+        from ``code`` (the image's ``args``) and raises nothing but
+        :class:`_Unfused`, before it changes any state.
         """
         isize = INSTRUCTION_SIZE
         stack = self.stack
@@ -496,6 +632,189 @@ class FastCPU(CPU):
             counters[a] += 1
             return i + 1
 
+        # -- superinstructions: check every member, then run them all ----
+        # ``full2``: one more push than the stack can take after a
+        # first push (LOAD then PUSH).  Local slots are non-negative ints
+        # (predecode defers the rest), so a slot past the end of the
+        # locals raises IndexError, and the locals grow as LOAD or STORE
+        # would grow them.
+        full2 = max_stack - 1
+
+        def grow(loc, a):
+            loc.extend([0] * (a + 1 - len(loc)))
+
+        def f_load_push_lt_jz(a, i):
+            if len(stack) >= full2:
+                raise _Unfused
+            loc = frames[-1].locals
+            try:
+                v = loc[a]
+            except IndexError:
+                grow(loc, a)
+                v = 0
+            return i + 4 if v < code[i + 1] else code[i + 3]
+
+        def f_load_push_le_jz(a, i):
+            if len(stack) >= full2:
+                raise _Unfused
+            loc = frames[-1].locals
+            try:
+                v = loc[a]
+            except IndexError:
+                grow(loc, a)
+                v = 0
+            return i + 4 if v <= code[i + 1] else code[i + 3]
+
+        def f_load_push_gt_jz(a, i):
+            if len(stack) >= full2:
+                raise _Unfused
+            loc = frames[-1].locals
+            try:
+                v = loc[a]
+            except IndexError:
+                grow(loc, a)
+                v = 0
+            return i + 4 if v > code[i + 1] else code[i + 3]
+
+        def f_load_push_eq_jz(a, i):
+            if len(stack) >= full2:
+                raise _Unfused
+            loc = frames[-1].locals
+            try:
+                v = loc[a]
+            except IndexError:
+                grow(loc, a)
+                v = 0
+            return i + 4 if v == code[i + 1] else code[i + 3]
+
+        def f_load_push_add_store(a, i):
+            if len(stack) >= full2:
+                raise _Unfused
+            loc = frames[-1].locals
+            try:
+                v = loc[a] + code[i + 1]
+            except IndexError:
+                grow(loc, a)
+                v = code[i + 1]
+            s = code[i + 3]
+            try:
+                loc[s] = v
+            except IndexError:
+                grow(loc, s)
+                loc[s] = v
+            return i + 4
+
+        def f_load_push_sub_call(a, i):
+            if len(stack) >= full2 or len(frames) >= max_frames:
+                raise _Unfused
+            loc = frames[-1].locals
+            try:
+                v = loc[a]
+            except IndexError:
+                grow(loc, a)
+                v = 0
+            push(v - code[i + 1])
+            frames_append(Frame(return_addr=(i + 4) * isize))
+            return code[i + 3]
+
+        def f_store_load_push(a, i):
+            if not 0 < len(stack) < max_stack:
+                raise _Unfused
+            loc = frames[-1].locals
+            try:
+                loc[a] = stack[-1]
+            except IndexError:
+                grow(loc, a)
+                loc[a] = stack[-1]
+            b = code[i + 1]
+            try:
+                stack[-1] = loc[b]
+            except IndexError:
+                grow(loc, b)
+                stack[-1] = 0
+            push(code[i + 2])
+            return i + 3
+
+        def f_add_store_jmp(a, i):
+            if len(stack) < 2:
+                raise _Unfused
+            b = pop()
+            v = pop() + b
+            loc = frames[-1].locals
+            s = code[i + 1]
+            try:
+                loc[s] = v
+            except IndexError:
+                grow(loc, s)
+                loc[s] = v
+            return code[i + 2]
+
+        def f_store_store(a, i):
+            if len(stack) < 2:
+                raise _Unfused
+            loc = frames[-1].locals
+            v = pop()
+            try:
+                loc[a] = v
+            except IndexError:
+                grow(loc, a)
+                loc[a] = v
+            v = pop()
+            s = code[i + 1]
+            try:
+                loc[s] = v
+            except IndexError:
+                grow(loc, s)
+                loc[s] = v
+            return i + 2
+
+        def f_load_load(a, i):
+            if len(stack) >= full2:
+                raise _Unfused
+            loc = frames[-1].locals
+            b = code[i + 1]
+            top = a if a > b else b
+            if len(loc) <= top:
+                grow(loc, top)
+            push(loc[a])
+            push(loc[b])
+            return i + 2
+
+        def f_load_push(a, i):
+            if len(stack) >= full2:
+                raise _Unfused
+            loc = frames[-1].locals
+            try:
+                push(loc[a])
+            except IndexError:
+                grow(loc, a)
+                push(0)
+            push(code[i + 1])
+            return i + 2
+
+        def f_add_store(a, i):
+            if len(stack) < 2:
+                raise _Unfused
+            b = pop()
+            v = pop() + b
+            loc = frames[-1].locals
+            s = code[i + 1]
+            try:
+                loc[s] = v
+            except IndexError:
+                grow(loc, s)
+                loc[s] = v
+            return i + 2
+
+        def f_mod_call(a, i):
+            if len(stack) < 2 or stack[-1] == 0 or len(frames) >= max_frames:
+                raise _Unfused
+            b = pop()
+            a2 = pop()
+            push(a2 - _trunc_div(a2, b) * b)
+            frames_append(Frame(return_addr=(i + 2) * isize))
+            return code[i + 1]
+
         table = {
             Op.PUSH: h_push, Op.POP: h_pop, Op.DUP: h_dup, Op.SWAP: h_swap,
             Op.ADD: h_add, Op.SUB: h_sub, Op.MUL: h_mul,
@@ -513,8 +832,21 @@ class FastCPU(CPU):
             Op.CALL: h_call, Op.CALLI: h_calli, Op.RET: h_ret,
             Op.HALT: h_halt, Op.NOP: h_nop, Op.OUT: h_out,
             Op.COUNT: h_count,
+            (Op.LOAD, Op.PUSH, Op.LT, Op.JZ): f_load_push_lt_jz,
+            (Op.LOAD, Op.PUSH, Op.LE, Op.JZ): f_load_push_le_jz,
+            (Op.LOAD, Op.PUSH, Op.GT, Op.JZ): f_load_push_gt_jz,
+            (Op.LOAD, Op.PUSH, Op.EQ, Op.JZ): f_load_push_eq_jz,
+            (Op.LOAD, Op.PUSH, Op.ADD, Op.STORE): f_load_push_add_store,
+            (Op.LOAD, Op.PUSH, Op.SUB, Op.CALL): f_load_push_sub_call,
+            (Op.STORE, Op.LOAD, Op.PUSH): f_store_load_push,
+            (Op.ADD, Op.STORE, Op.JMP): f_add_store_jmp,
+            (Op.STORE, Op.STORE): f_store_store,
+            (Op.LOAD, Op.LOAD): f_load_load,
+            (Op.LOAD, Op.PUSH): f_load_push,
+            (Op.ADD, Op.STORE): f_add_store,
+            (Op.MOD, Op.CALL): f_mod_call,
         }
-        return [table[op] for op in _PLAIN_OPS]
+        return [table[op] for op in _PLAIN_OPS + FUSED]
 
     # -- the run loop -------------------------------------------------------------
 
@@ -528,8 +860,8 @@ class FastCPU(CPU):
         Observably identical to :meth:`CPU.run` — the differential
         suite pins clocks, histograms, arc tables, stats, and error
         messages — but instructions between events dispatch through the
-        predecoded handler table with the clock batched against the
-        next event horizon.
+        predecoded handler table, a superinstruction's run at a time,
+        with the clock batched against the next event horizon.
         """
         if self.tracer is not None:
             # Tracers observe per-instruction state; give them the
@@ -538,11 +870,17 @@ class FastCPU(CPU):
 
         exe = self.exe
         pre = predecode(exe)
+        if pre is not self._decoded:
+            self._handlers = self._build_handlers(pre.args)
+            self._decoded = pre
         ops = pre.ops
         args = pre.args
         costs = pre.costs
         n_instr = pre.length
         handlers = self._handlers
+        sizes = SIZE
+        first = FIRST
+        cost = COST
         isize = INSTRUCTION_SIZE
         monitor = self.monitor
         has_irqs = bool(self._interrupts)
@@ -572,9 +910,8 @@ class FastCPU(CPU):
         # reach it (after budget checks and interrupt delivery).
         cycles = self.cycles
         n = self.instructions_executed
-        # ``-1`` means no budget; a negative budget runs nothing, as in
-        # ``CPU.run``, and must not land on that sentinel.
-        stop_n = -1
+        # A negative budget runs nothing, as in ``CPU.run``.
+        stop_n = _NO_EVENT
         if max_instructions is not None:
             stop_n = n + max(max_instructions, 0)
         idx, rem = divmod(self.pc, isize)
@@ -584,6 +921,7 @@ class FastCPU(CPU):
             idx = 0
         ref_state = False  # True while self.* is authoritative
         c = cycles  # last attempted charge, for the halt paths
+        solo = False  # a run at ``idx`` would fault part-way
 
         def careful(idx: int, cycles: int, n: int):
             """Execute one DEFER op via the reference ``step()``.
@@ -630,7 +968,7 @@ class FastCPU(CPU):
             while not self.halted:
                 # Budgets, then delivery, then the deferred fetch
                 # fault: the reference run()/step() ordering.
-                if n == stop_n:
+                if n >= stop_n:
                     break
                 if max_cycles is not None and cycles >= max_cycles:
                     break
@@ -663,12 +1001,26 @@ class FastCPU(CPU):
                     limit = max_cycles
                 next_tick = self._next_tick if monitor is not None else _NO_EVENT
                 horizon = next_tick if next_tick < limit else limit
+                if solo:
+                    # A horizon at the clock sends the run's slot to the
+                    # event path, which runs its first instruction alone.
+                    horizon = cycles
+                    solo = False
+                # Runs dispatch while the longest still fits under the
+                # instruction budget; below that, every run's slot goes
+                # to the event path and runs one instruction at a time.
+                if stop_n - n >= MAX_GROUP:
+                    run_stop = stop_n - MAX_GROUP + 1
+                    ev_min = EVENT_MIN
+                else:
+                    run_stop = stop_n
+                    ev_min = FUSED_MIN
 
                 try:
-                    while n != stop_n:
+                    while n < run_stop:
                         op = ops[idx]
                         c = cycles + costs[idx]
-                        if c >= horizon or op >= EVENT_MIN:
+                        if c >= horizon or op >= ev_min:
                             if op == OP_MCOUNT:
                                 if monitor is None or not monitor.enabled:
                                     # Zero cost: cannot reach the horizon.
@@ -703,6 +1055,12 @@ class FastCPU(CPU):
                                     continue
                                 at = idx - 1
                             elif op < EVENT_MIN:
+                                if op >= FUSED_MIN:
+                                    # The run would reach the horizon (or
+                                    # the budget): its first instruction
+                                    # runs alone.
+                                    op = first[op]
+                                    c = cycles + cost[op]
                                 at = idx
                                 n += 1
                                 idx = handlers[op](args[at], at)
@@ -742,9 +1100,13 @@ class FastCPU(CPU):
                                 break
                             horizon = next_tick if next_tick < limit else limit
                             continue
-                        n += 1
+                        n += sizes[op]
                         idx = handlers[op](args[idx], idx)
                         cycles = c
+                except _Unfused:
+                    # Nothing ran: take back the run's count.
+                    n -= sizes[op]
+                    solo = True
                 except _HaltLoop:
                     # HALT (or RET from the entry frame) leaves the pc
                     # advanced past the halting instruction, charged,

@@ -28,7 +28,16 @@ from repro.lang import compile_to_asm
 from repro.lang.programs import REL_PROGRAMS
 from repro.machine import CPU, ENGINES, FastCPU, Monitor, MonitorConfig, assemble, make_cpu
 from repro.machine.cpu import InterruptSource
-from repro.machine.fastcpu import OP_DEFER, OP_OFFEND, predecode
+from repro.machine.executable import Executable, Function
+from repro.machine.fastcpu import (
+    EVENT_MIN,
+    FUSED,
+    FUSED_MIN,
+    OP_DEFER,
+    OP_OFFEND,
+    predecode,
+)
+from repro.machine.isa import STACK_EFFECTS, Instruction, Op
 from repro.machine.programs import PROGRAMS
 from repro.machine.smp import CPUShard, GlobalLockMonitor, SMPMachine
 from repro.resilience.faults import FaultInjector, InjectedFault
@@ -125,6 +134,18 @@ def test_canned_corpus_identical_coarse_scale(name):
     """A non-unit scale exercises the shift/mask bucket cache."""
     assert_identical(run_both(PROGRAMS[name](), scale=0.5))
     assert_identical(run_both(PROGRAMS[name](), scale=0.3))
+
+
+@pytest.mark.parametrize("level", [0, 2])
+@pytest.mark.parametrize("name", sorted(REL_PROGRAMS))
+def test_compiled_programs_identical(name, level):
+    """The compiled Rel programs, whose idioms the superinstructions
+    fuse: every tick geometry, and budgets that stop inside a run."""
+    asm = compile_to_asm(REL_PROGRAMS[name](), optimize_level=level)
+    for cycles_per_tick in (1, 7, 100):
+        assert_identical(run_both(asm, cycles_per_tick=cycles_per_tick))
+    for budget in (1, 2, 3, 5, 6, 7, 1001):
+        assert_identical(run_both(asm, max_instructions=budget))
 
 
 # --------------------------------------------------------------------------
@@ -292,7 +313,6 @@ def test_predecode_cached_on_executable():
     exe = assemble(PROGRAMS["fib"]())
     pre = predecode(exe)
     assert predecode(exe) is pre
-    assert exe.predecoded() is pre
     assert pre.length == len(exe.instructions)
     # sentinel guards the fall-off-the-end address
     assert pre.ops[-1] == OP_OFFEND
@@ -306,9 +326,6 @@ def test_predecode_invalidated_by_rebinding_text():
 
 
 def test_predecode_defers_unsafe_operands():
-    from repro.machine.executable import Executable, Function
-    from repro.machine.isa import Instruction, Op
-
     exe = Executable(
         name="weird",
         instructions=[
@@ -330,9 +347,6 @@ def test_predecode_defers_unsafe_operands():
 
 
 def test_deferred_negative_local_slot_matches_reference():
-    from repro.machine.executable import Executable, Function
-    from repro.machine.isa import Instruction, Op
-
     def build():
         return Executable(
             name="neg",
@@ -348,6 +362,122 @@ def test_deferred_negative_local_slot_matches_reference():
         errors[engine] = (str(exc.value), machine_state(cpu))
     assert errors["fast"] == errors["reference"]
     assert "negative local slot" in errors["fast"][0]
+
+
+# --------------------------------------------------------------------------
+# Superinstructions: a run dispatched as one never faults part-way.
+# --------------------------------------------------------------------------
+
+#: Operand text for each member of a table entry in the programs below.
+ENTRY_OPERANDS = {
+    Op.LOAD: "1", Op.PUSH: "3", Op.STORE: "2",
+    Op.JZ: "out", Op.JMP: "out", Op.CALL: "leaf",
+}
+
+#: ``MAX_STACK`` for the overflow cases.
+SMALL_STACK = 4
+
+
+def entry_program(entry, before):
+    """``main`` runs ``before``, then the entry's run, then halts."""
+    body = list(before)
+    for op in entry:
+        body.append(f"{op.value} {ENTRY_OPERANDS.get(op, '')}".rstrip())
+    body += ["HALT", "out:", "HALT"]
+    return ".func main\n " + "\n ".join(body) + "\n.end\n.func leaf\n RET\n.end\n"
+
+
+def stack_needs(entry):
+    """The stack depth the run needs below it, and its highest depth
+    relative to where it starts (a CALL leaves the stack alone)."""
+    depth = need = peak = 0
+    for op in entry:
+        pops, pushes = STACK_EFFECTS.get(op, (0, 0))
+        need = max(need, pops - depth)
+        depth += pushes - pops
+        peak = max(peak, depth)
+    return need, peak
+
+
+def superinstruction_cases():
+    """For every entry: a clean run, and a fault at each member it holds
+    (underflow at each depth below its need, overflow under a small
+    ``MAX_STACK``, a frame overflow, a zero divisor)."""
+    cases = []
+    for entry in FUSED:
+        name = "_".join(op.value for op in entry)
+        need, peak = stack_needs(entry)
+        cases.append(pytest.param(entry, need, None, None, False, id=f"{name}-runs"))
+        for depth in range(need):
+            cases.append(pytest.param(
+                entry, depth, None, None, True, id=f"{name}-underflow-{depth}"
+            ))
+        for depth in range(max(need, SMALL_STACK - peak + 1), SMALL_STACK + 1):
+            cases.append(pytest.param(
+                entry, depth, SMALL_STACK, None, True, id=f"{name}-overflow-{depth}"
+            ))
+        if Op.CALL in entry:
+            cases.append(pytest.param(entry, need, None, 1, True, id=f"{name}-frames"))
+        if entry[0] is Op.MOD:
+            cases.append(pytest.param(entry, -1, None, None, True, id=f"{name}-zero"))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "entry,depth,max_stack,max_frames,faults", superinstruction_cases()
+)
+def test_superinstruction_faults_identical(
+    entry, depth, max_stack, max_frames, faults, monkeypatch
+):
+    """A run whose member would fault runs its first instruction alone,
+    so the fault comes from the plain handler at the reference state;
+    a run that cannot fault runs whole (or split at a tick)."""
+    if max_stack is not None:
+        monkeypatch.setattr(CPU, "MAX_STACK", max_stack)
+    if max_frames is not None:
+        monkeypatch.setattr(CPU, "MAX_FRAMES", max_frames)
+    # depth -1: a zero divisor on top of the dividend.
+    before = ["PUSH 7", "PUSH 0"] if depth < 0 else ["PUSH 5"] * depth
+    source = entry_program(entry, before)
+    slot = predecode(assemble(source)).ops[len(before)]
+    assert slot == FUSED_MIN + FUSED.index(entry)
+    for profile in (True, False):
+        for cycles_per_tick in (1, 3, 100):
+            results = run_both(
+                source, profile=profile, cycles_per_tick=cycles_per_tick
+            )
+            assert (results["fast"][2] is not None) is faults
+            assert_identical(results)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        [(Op.LOAD, 0), (Op.PUSH, None), (Op.LT, None), (Op.JZ, 0), (Op.HALT, None)],
+        [(Op.PUSH, 1), (Op.PUSH, "a"), (Op.ADD, None), (Op.STORE, 0), (Op.HALT, None)],
+    ],
+    ids=["none-compare", "str-add"],
+)
+def test_predecode_fuses_nothing_beside_non_int_push(text):
+    """A PUSH operand that is not an int makes a run raise TypeError
+    part-way, so such an image fuses nothing and faults as the
+    reference does."""
+
+    def build():
+        return Executable(
+            name="mixed",
+            instructions=[Instruction(op, operand) for op, operand in text],
+            functions=[Function("main", 0, 4 * len(text))],
+        )
+
+    assert not any(FUSED_MIN <= code < EVENT_MIN for code in predecode(build()).ops)
+    outcomes = {}
+    for engine, cls in ENGINES.items():
+        cpu = cls(build())
+        with pytest.raises(TypeError) as exc:
+            cpu.run()
+        outcomes[engine] = (str(exc.value), machine_state(cpu))
+    assert outcomes["fast"] == outcomes["reference"]
 
 
 def test_fast_engine_registry():
@@ -797,7 +927,10 @@ def test_check_passes_ignore_predecode_cache():
 def structured_programs(draw):
     """A terminating multi-function program with calls, loops, indirect
     dispatch, arithmetic, and WORK — the constructs whose interaction
-    with ticks and events the fast engine restructures."""
+    with ticks and events the fast engine restructures — and the
+    compiler's idioms the superinstructions fuse: compare-and-branch,
+    local increments, and a counted loop with its back-edge.  Local 0
+    counts the function's outer loop; the idioms write locals 1-3."""
     n_funcs = draw(st.integers(2, 5))
     names = [f"fn{i}" for i in range(n_funcs)]
     funcs = []
@@ -805,11 +938,36 @@ def structured_programs(draw):
         body = []
         loop_count = draw(st.integers(1, 6))
         body += [f"PUSH {loop_count}", "STORE 0", "loop:"]
-        for _ in range(draw(st.integers(1, 4))):
-            kind = draw(
-                st.sampled_from(["work", "arith", "call", "calli", "global"])
-            )
-            if kind == "work":
+        for j in range(draw(st.integers(1, 4))):
+            kind = draw(st.sampled_from([
+                "work", "arith", "call", "calli", "global", "branch", "incr", "while",
+            ]))
+            if kind == "branch":
+                body += [
+                    f"LOAD {draw(st.integers(0, 3))}",
+                    f"PUSH {draw(st.integers(-3, 6))}",
+                    draw(st.sampled_from(["LT", "LE", "GT", "GE", "EQ", "NE"])),
+                    f"JZ skip{j}",
+                    f"WORK {draw(st.integers(0, 30))}",
+                    f"skip{j}:",
+                ]
+            elif kind == "incr":
+                body += [
+                    f"LOAD {draw(st.integers(0, 3))}",
+                    f"PUSH {draw(st.integers(-9, 9))}",
+                    draw(st.sampled_from(["ADD", "SUB"])),
+                    f"STORE {draw(st.integers(1, 3))}",
+                ]
+            elif kind == "while":
+                slot = draw(st.integers(1, 3))
+                body += [
+                    "PUSH 0", f"STORE {slot}", f"top{j}:",
+                    f"LOAD {slot}", f"PUSH {draw(st.integers(0, 4))}", "LT", f"JZ end{j}",
+                    f"WORK {draw(st.integers(0, 30))}",
+                    f"LOAD {slot}", "PUSH 1", "ADD", f"STORE {slot}", f"JMP top{j}",
+                    f"end{j}:",
+                ]
+            elif kind == "work":
                 body.append(f"WORK {draw(st.integers(0, 120))}")
             elif kind == "arith":
                 body += [
@@ -855,6 +1013,25 @@ def test_random_programs_identical(source, profile, cycles_per_tick, scale):
             cycles_per_tick=cycles_per_tick,
             scale=scale,
             max_instructions=30_000,
+        )
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    structured_programs(),
+    st.booleans(),
+    st.sampled_from([1, 3, 7, 100]),
+)
+def test_random_programs_unbudgeted_identical(source, profile, cycles_per_tick):
+    """No instruction budget, so runs dispatch whole up to the halt; the
+    programs terminate, and the cycle budget only bounds a long one."""
+    assert_identical(
+        run_both(
+            source,
+            profile=profile,
+            cycles_per_tick=cycles_per_tick,
+            max_cycles=150_000,
         )
     )
 

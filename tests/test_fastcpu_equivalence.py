@@ -450,6 +450,46 @@ def test_superinstruction_faults_identical(
             assert_identical(results)
 
 
+#: ``JMP mid`` enters the run ``LOAD 1; PUSH 0; GT; JZ out`` at its
+#: second instruction; the back-edge ``JMP top`` enters it at its first.
+JUMP_INTO_RUN = """
+.func main
+    PUSH 3
+    STORE 1
+    LOAD 1
+    JMP mid
+top:
+    LOAD 1
+mid:
+    PUSH 0
+    GT
+    JZ out
+    LOAD 1
+    PUSH 1
+    SUB
+    STORE 1
+    JMP top
+out:
+    HALT
+.end
+"""
+
+
+def test_jump_into_a_run_identical():
+    """Every slot keeps its own entry, so a jump into the middle of a
+    run executes from there."""
+    ops = predecode(assemble(JUMP_INTO_RUN)).ops
+    assert ops[4] == FUSED_MIN + FUSED.index((Op.LOAD, Op.PUSH, Op.GT, Op.JZ))
+    assert ops[5] == 0  # ``mid``: the plain PUSH
+    for profile in (True, False):
+        for cycles_per_tick in (1, 3, 100):
+            results = run_both(
+                JUMP_INTO_RUN, profile=profile, cycles_per_tick=cycles_per_tick
+            )
+            assert results["fast"][0]["halted"]
+            assert_identical(results)
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -53,17 +53,18 @@ not construction, that makes it identical.
 **Superinstructions.**  Predecode lowers each run of plain ops that the
 compiler emits for a hot idiom (a local compare-and-branch, a local
 increment, a store and reload, a loop back-edge, a parameter prologue,
-an argument set-up before a call) into one slot with one handler and
-the run's summed cost, so the loop dispatches once per run.  Every slot
-keeps its own entry, so a jump into a run executes from there.  A run
-whose summed charge would reach the event horizon runs its first
-instruction alone on the event path, so ticks still land on the exact
-pc.  A run's handler checks every member's precondition before it
-changes anything; if one fails (the member would fault) the run's first
-instruction runs alone, and the fault is raised by the plain handler at
-its reference state.  An image with a ``PUSH`` whose operand is not an
-int fuses nothing: with only int operands every value the handlers see
-is an int, whose operations cannot raise.
+an argument set-up before a call, a return, an array store or compare)
+into one slot with one handler and the run's summed cost, so the loop
+dispatches once per run.  Every slot keeps its own entry, so a jump
+into a run executes from there.  A run whose summed charge would reach
+the event horizon runs its first instruction alone on the event path,
+so ticks still land on the exact pc.  A run's handler checks every
+member's precondition before it changes anything; if one fails (the
+member would fault) the run's first instruction runs alone, and the
+fault is raised by the plain handler at its reference state.  An image
+with a ``PUSH`` whose operand is not an int fuses nothing: with only
+int operands every value the handlers see is an int, whose operations
+cannot raise.
 
 ``MCOUNT`` — the monitoring routine, executed on every profiled call —
 is committed against the monitor's process-local, site-keyed
@@ -124,10 +125,13 @@ FUSED: tuple[tuple[Op, ...], ...] = (
     (Op.STORE, Op.LOAD, Op.PUSH),          # x = e; y op k    1.54%  10.53%
     (Op.ADD, Op.STORE, Op.JMP),            # loop back-edge   2.68%   7.51%
     (Op.STORE, Op.STORE),                  # prologue         1.51%   0.00%
-    (Op.LOAD, Op.LOAD),                    # f(x, y)          3.69%   0.00%
+    (Op.LOAD, Op.LOAD),                    # f(x, y)          3.67%   0.00%
     (Op.LOAD, Op.PUSH),                    # x op k           0.42%   5.04%
     (Op.ADD, Op.STORE),                    # x = x + f(...)   0.95%   2.14%
-    (Op.MOD, Op.CALL),                     # f(b, a % b)      1.22%   0.00%
+    (Op.LOAD, Op.MOD, Op.CALL),            # f(y, x % b)      2.40%   0.00%
+    (Op.LOAD, Op.RET),                     # return x         1.89%   0.00%
+    (Op.PUSH, Op.LOAD, Op.GSTOREI),        # a[x] = k         2.53%   0.00%
+    (Op.LOAD, Op.GLOADI, Op.PUSH, Op.EQ),  # a[x] == k        2.19%   0.00%
 )
 
 #: First superinstruction opcode, and first opcode the dispatch loop
@@ -806,14 +810,53 @@ class FastCPU(CPU):
                 loc[s] = v
             return i + 2
 
-        def f_mod_call(a, i):
-            if len(stack) < 2 or stack[-1] == 0 or len(frames) >= max_frames:
+        def f_load_mod_call(a, i):
+            # An unset local is 0, a zero divisor: nothing to grow.
+            loc = frames[-1].locals
+            b = loc[a] if a < len(loc) else 0
+            if not 0 < len(stack) < max_stack or b == 0 or len(frames) >= max_frames:
                 raise _Unfused
-            b = pop()
-            a2 = pop()
-            push(a2 - _trunc_div(a2, b) * b)
-            frames_append(Frame(return_addr=(i + 2) * isize))
-            return code[i + 1]
+            a2 = stack[-1]
+            stack[-1] = a2 - _trunc_div(a2, b) * b
+            frames_append(Frame(return_addr=(i + 3) * isize))
+            return code[i + 2]
+
+        def f_load_ret(a, i):
+            # Returning from the entry frame or an interrupt goes
+            # through the plain RET.
+            frame = frames[-1]
+            ra = frame.return_addr
+            if len(stack) >= max_stack or ra is None or frame.interrupted:
+                raise _Unfused
+            loc = frame.locals
+            try:
+                push(loc[a])
+            except IndexError:
+                grow(loc, a)
+                push(0)
+            frames.pop()
+            return ra // isize
+
+        def f_push_load_gstorei(a, i):
+            s = code[i + 1]
+            loc = frames[-1].locals
+            slot = loc[s] if s < len(loc) else 0
+            if len(stack) >= full2 or not 0 <= slot < len(globals_):
+                raise _Unfused
+            if s >= len(loc):
+                grow(loc, s)
+            globals_[slot] = a
+            return i + 3
+
+        def f_load_gloadi_push_eq(a, i):
+            loc = frames[-1].locals
+            slot = loc[a] if a < len(loc) else 0
+            if len(stack) >= full2 or not 0 <= slot < len(globals_):
+                raise _Unfused
+            if a >= len(loc):
+                grow(loc, a)
+            push(1 if globals_[slot] == code[i + 2] else 0)
+            return i + 4
 
         table = {
             Op.PUSH: h_push, Op.POP: h_pop, Op.DUP: h_dup, Op.SWAP: h_swap,
@@ -844,7 +887,10 @@ class FastCPU(CPU):
             (Op.LOAD, Op.LOAD): f_load_load,
             (Op.LOAD, Op.PUSH): f_load_push,
             (Op.ADD, Op.STORE): f_add_store,
-            (Op.MOD, Op.CALL): f_mod_call,
+            (Op.LOAD, Op.MOD, Op.CALL): f_load_mod_call,
+            (Op.LOAD, Op.RET): f_load_ret,
+            (Op.PUSH, Op.LOAD, Op.GSTOREI): f_push_load_gstorei,
+            (Op.LOAD, Op.GLOADI, Op.PUSH, Op.EQ): f_load_gloadi_push_eq,
         }
         return [table[op] for op in _PLAIN_OPS + FUSED]
 

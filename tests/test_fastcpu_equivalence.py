@@ -377,19 +377,28 @@ ENTRY_OPERANDS = {
 #: ``MAX_STACK`` for the overflow cases.
 SMALL_STACK = 4
 
+#: Instructions of ``main`` and of ``run``'s set-up before the stack
+#: values a case pushes (``NOP`` keeps the set-up out of any run).
+SET_UP = 2 + 3
 
-def entry_program(entry, before):
-    """``main`` runs ``before``, then the entry's run, then halts."""
-    body = list(before)
+
+def entry_program(entry, depth, local=7, nglobals=8):
+    """``main`` calls ``run``, which sets local 1 to ``local`` (an index
+    into the globals too), pushes ``depth`` values, runs the entry's
+    run and halts; ``leaf`` returns at once."""
+    body = [f"PUSH {local}", "STORE 1", "NOP"] + ["PUSH 5"] * depth
     for op in entry:
         body.append(f"{op.value} {ENTRY_OPERANDS.get(op, '')}".rstrip())
     body += ["HALT", "out:", "HALT"]
-    return ".func main\n " + "\n ".join(body) + "\n.end\n.func leaf\n RET\n.end\n"
+    return (
+        f".globals {nglobals}\n.func main\n CALL run\n HALT\n.end\n"
+        ".func run\n " + "\n ".join(body) + "\n.end\n.func leaf\n RET\n.end\n"
+    )
 
 
 def stack_needs(entry):
     """The stack depth the run needs below it, and its highest depth
-    relative to where it starts (a CALL leaves the stack alone)."""
+    relative to where it starts (a CALL or RET leaves it alone)."""
     depth = need = peak = 0
     for op in entry:
         pops, pushes = STACK_EFFECTS.get(op, (0, 0))
@@ -402,44 +411,39 @@ def stack_needs(entry):
 def superinstruction_cases():
     """For every entry: a clean run, and a fault at each member it holds
     (underflow at each depth below its need, overflow under a small
-    ``MAX_STACK``, a frame overflow, a zero divisor)."""
+    ``MAX_STACK``, a frame overflow, a zero divisor, a global slot out
+    of range)."""
     cases = []
     for entry in FUSED:
         name = "_".join(op.value for op in entry)
         need, peak = stack_needs(entry)
-        cases.append(pytest.param(entry, need, None, None, False, id=f"{name}-runs"))
+
+        def case(label, depth=need, faults=True, **setup):
+            cases.append(pytest.param(entry, depth, setup, faults, id=f"{name}-{label}"))
+
+        case("runs", faults=False)
         for depth in range(need):
-            cases.append(pytest.param(
-                entry, depth, None, None, True, id=f"{name}-underflow-{depth}"
-            ))
+            case(f"underflow-{depth}", depth)
         for depth in range(max(need, SMALL_STACK - peak + 1), SMALL_STACK + 1):
-            cases.append(pytest.param(
-                entry, depth, SMALL_STACK, None, True, id=f"{name}-overflow-{depth}"
-            ))
+            case(f"overflow-{depth}", depth, max_stack=SMALL_STACK)
         if Op.CALL in entry:
-            cases.append(pytest.param(entry, need, None, 1, True, id=f"{name}-frames"))
-        if entry[0] is Op.MOD:
-            cases.append(pytest.param(entry, -1, None, None, True, id=f"{name}-zero"))
+            case("frames", max_frames=2)
+        if Op.MOD in entry:
+            case("zero", local=0)
+        if Op.GLOADI in entry or Op.GSTOREI in entry:
+            case("global", nglobals=7)
     return cases
 
 
-@pytest.mark.parametrize(
-    "entry,depth,max_stack,max_frames,faults", superinstruction_cases()
-)
-def test_superinstruction_faults_identical(
-    entry, depth, max_stack, max_frames, faults, monkeypatch
-):
+@pytest.mark.parametrize("entry,depth,setup,faults", superinstruction_cases())
+def test_superinstruction_faults_identical(entry, depth, setup, faults, monkeypatch):
     """A run whose member would fault runs its first instruction alone,
     so the fault comes from the plain handler at the reference state;
     a run that cannot fault runs whole (or split at a tick)."""
-    if max_stack is not None:
-        monkeypatch.setattr(CPU, "MAX_STACK", max_stack)
-    if max_frames is not None:
-        monkeypatch.setattr(CPU, "MAX_FRAMES", max_frames)
-    # depth -1: a zero divisor on top of the dividend.
-    before = ["PUSH 7", "PUSH 0"] if depth < 0 else ["PUSH 5"] * depth
-    source = entry_program(entry, before)
-    slot = predecode(assemble(source)).ops[len(before)]
+    monkeypatch.setattr(CPU, "MAX_STACK", setup.pop("max_stack", CPU.MAX_STACK))
+    monkeypatch.setattr(CPU, "MAX_FRAMES", setup.pop("max_frames", CPU.MAX_FRAMES))
+    source = entry_program(entry, depth, **setup)
+    slot = predecode(assemble(source)).ops[SET_UP + depth]
     assert slot == FUSED_MIN + FUSED.index(entry)
     for profile in (True, False):
         for cycles_per_tick in (1, 3, 100):
@@ -448,6 +452,22 @@ def test_superinstruction_faults_identical(
             )
             assert (results["fast"][2] is not None) is faults
             assert_identical(results)
+
+
+def test_load_ret_out_of_an_interrupt_identical():
+    """``LOAD; RET`` out of an interrupt handler returns through the
+    plain RET, which re-arms delivery."""
+    source = (
+        ".func main\n" + " WORK 10\n" * 40 + " HALT\n.end\n"
+        ".func isr\n LOAD 0\n RET\n.end\n"
+    )
+    exe = assemble(source)
+    isr = exe.function_named("isr").entry // 4
+    assert predecode(exe).ops[isr] == FUSED_MIN + FUSED.index((Op.LOAD, Op.RET))
+    for profile in (True, False):
+        results = run_both(source, profile=profile, interrupts=[("isr", 37, None)])
+        assert results["fast"][0]["irqs"] > 0
+        assert_identical(results)
 
 
 #: ``JMP mid`` enters the run ``LOAD 1; PUSH 0; GT; JZ out`` at its

@@ -24,18 +24,18 @@ The headline number is cold ``routines_per_sec``.
 
 from __future__ import annotations
 
-import time
-
 from repro.check.flow import analyze_flow, render_flow_report
 from repro.machine import Executable, assemble
 from repro.machine.programs import PROGRAMS
 from repro.pipeline import AnalysisCache, ProfileSession
 
+from benchmarks.timing import header, ratio, rounds, spread, summary
+
 #: Synthetic corpus shape.  Each chain routine owns a counted loop and
 #: one call site, so every analysis layer (loops, summaries, intervals,
 #: activation propagation) does real work per routine.
-FULL = {"chain_sizes": (100, 400), "repeats": 5}
-QUICK = {"chain_sizes": (50,), "repeats": 2}
+FULL = {"chain_sizes": (100, 400), "repeats": 9}
+QUICK = {"chain_sizes": (50,), "repeats": 3}
 
 
 def synthetic_source(n: int) -> str:
@@ -63,31 +63,8 @@ def artifacts(flow) -> tuple[str, str]:
     return render_flow_report(flow), flow.prediction.render_json()
 
 
-def _timed(fn, repeats: int):
-    """(best wall-clock seconds, last result) over ``repeats`` runs."""
-    best, result = float("inf"), None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
-
-
 def _bench_corpus(label: str, exes: list, repeats: int) -> tuple[dict, bool]:
     n_routines = sum(len(exe.functions) for exe in exes)
-
-    def cold():
-        return [analyze_flow(exe) for exe in exes]
-
-    cold_s, flows = _timed(cold, repeats)
-    reference = [artifacts(f) for f in flows]
-
-    # Determinism across runs: a second fresh analysis must render the
-    # same bytes.
-    identical = all(
-        artifacts(analyze_flow(exe)) == ref
-        for exe, ref in zip(exes, reference)
-    )
 
     # Cache replay: prime a shared cache, then re-analyze through a
     # freshly-deserialized image so the content digest is recomputed.
@@ -96,33 +73,43 @@ def _bench_corpus(label: str, exes: list, repeats: int) -> tuple[dict, bool]:
         ProfileSession.from_executable(exe, cache=cache).flow()
     replays = [Executable.from_dict(exe.to_dict()) for exe in exes]
 
-    def replay():
-        return [
-            ProfileSession.from_executable(exe, cache=cache).flow()
-            for exe in replays
-        ]
-
-    replay_s, replayed = _timed(replay, repeats)
-    identical &= all(
-        artifacts(f) == ref for f, ref in zip(replayed, reference)
+    seconds, results = rounds(
+        {
+            "cold": lambda: [analyze_flow(exe) for exe in exes],
+            "replay": lambda: [
+                ProfileSession.from_executable(exe, cache=cache).flow()
+                for exe in replays
+            ],
+        },
+        repeats,
+    )
+    reference = [artifacts(f) for f in results["cold"]]
+    # Determinism across runs: a second fresh analysis, and the replay,
+    # must render the same bytes.
+    identical = all(
+        artifacts(analyze_flow(exe)) == ref
+        for exe, ref in zip(exes, reference)
+    ) and all(
+        artifacts(f) == ref for f, ref in zip(results["replay"], reference)
     )
 
+    cold_ms = summary(s * 1000 for s in seconds["cold"])
     row = {
         "corpus": label,
         "images": len(exes),
         "routines": n_routines,
-        "cold_ms": round(cold_s * 1000, 3),
-        "replay_ms": round(replay_s * 1000, 3),
-        "routines_per_sec": round(n_routines / cold_s, 1),
-        "speedup_replay_vs_cold": round(cold_s / replay_s, 2),
+        "cold_ms": cold_ms,
+        "replay_ms": summary(s * 1000 for s in seconds["replay"]),
+        "routines_per_sec": round(n_routines / cold_ms["median"] * 1000, 1),
+        "speedup_replay_vs_cold": ratio(seconds, "cold", "replay"),
         "byte_identical": identical,
     }
     print(
         f"  {label:>10}: {n_routines:>4} routines"
-        f"  cold {row['cold_ms']:>9.2f} ms"
+        f"  cold {cold_ms['median']:>9.2f} ms"
         f"  ({row['routines_per_sec']:>8} r/s)"
-        f"  replay {row['replay_ms']:>8.3f} ms"
-        f"  ({row['speedup_replay_vs_cold']}x)"
+        f"  replay {row['replay_ms']['median']:>8.3f} ms"
+        f"  ({spread(row['speedup_replay_vs_cold'])})"
         f"  identical={identical}"
     )
     return row, identical
@@ -147,19 +134,11 @@ def run_check(quick: bool) -> tuple[dict, bool]:
         rows.append(row)
         identical_everywhere &= ok
 
-    import os
-    import platform
-
-    report = {
-        "benchmark": "T-FLOW dataflow-battery throughput",
-        "mode": "quick" if quick else "full",
-        "python": platform.python_version(),
-        "cpus": os.cpu_count(),
+    return {
+        **header("T-FLOW dataflow-battery throughput", quick, cfg["repeats"]),
         "corpus": {
             "canned_programs": len(canned),
             "chain_sizes": list(cfg["chain_sizes"]),
-            "repeats": cfg["repeats"],
         },
         "rows": rows,
-    }
-    return report, identical_everywhere
+    }, identical_everywhere

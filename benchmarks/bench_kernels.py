@@ -26,11 +26,8 @@ Usage::
 
 from __future__ import annotations
 
-import os
-import platform
 import random
 import struct
-import time
 
 from repro.core import Symbol, SymbolTable, merge_profiles
 from repro.core import kernels
@@ -43,47 +40,41 @@ from repro.core.kernels.spans import apportion, apportion_python, build_spans
 from repro.fleet import ProfileAccumulator
 from repro.gmon import dumps_gmon, parse_gmon
 
+from benchmarks.timing import header, ratio, rounds, spread, summary
+
 FULL = {
     "inputs": 1000, "nbuckets": 2000, "narcs": 400, "arc_sites": 600,
     "ap_buckets": 65536, "ap_symbols": 600, "ap_inputs": 20,
     "prop_callers": 1000, "prop_hubs": 30, "prop_leaves": 200,
     "prop_solves": 50,
-    "repeats": 3,
+    "repeats": 9,
 }
 QUICK = {
     "inputs": 60, "nbuckets": 256, "narcs": 40, "arc_sites": 60,
     "ap_buckets": 4096, "ap_symbols": 64, "ap_inputs": 4,
     "prop_callers": 60, "prop_hubs": 4, "prop_leaves": 10,
     "prop_solves": 5,
-    "repeats": 1,
+    "repeats": 3,
 }
 
 SEED = 20240817
 
 
-def _timed(fn, repeats: int):
-    best, result = float("inf"), None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
-
-
-def _row(kernel: str, workload: dict, production: str,
-         ref: tuple, prod: tuple) -> tuple[dict, bool]:
-    """Assemble one report row; equality is exact, never approximate."""
-    (ref_s, ref_result), (prod_s, prod_result) = ref, prod
-    identical = prod_result == ref_result
+def _row(kernel: str, workload: dict, production: str, reference,
+         candidate, repeats: int) -> tuple[dict, bool]:
+    """Time both paths in rounds and assemble one report row; equality
+    of the last round's results is exact, never approximate."""
+    seconds, results = rounds(
+        {"reference": reference, "production": candidate}, repeats
+    )
+    identical = results["production"] == results["reference"]
     row = {
         "kernel": kernel,
         "workload": workload,
         "production": production,
-        "seconds": {
-            "reference": round(ref_s, 6),
-            "production": round(prod_s, 6),
-        },
-        "speedup": round(ref_s / prod_s, 2) if prod_s else None,
+        "reference_seconds": summary(seconds["reference"]),
+        "production_seconds": summary(seconds["production"]),
+        "speedup": ratio(seconds, "reference", "production"),
         "identical": identical,
     }
     return row, identical
@@ -109,13 +100,13 @@ def bench_bucket_fold(cfg: dict) -> tuple[dict, bool]:
             acc.fold_blob(blob)
         return acc.to_list()
 
-    repeats = cfg["repeats"]
     return _row(
         "bucket_fold",
         {"inputs": inputs, "nbuckets": nbuckets},
         type(kernels.bucket_accumulator()).__name__,
-        _timed(lambda: fold(BucketAccumulator), repeats),
-        _timed(lambda: fold(kernels.bucket_accumulator), repeats),
+        lambda: fold(BucketAccumulator),
+        lambda: fold(kernels.bucket_accumulator),
+        cfg["repeats"],
     )
 
 
@@ -143,14 +134,14 @@ def bench_arc_fold(cfg: dict) -> tuple[dict, bool]:
             table.fold_blob(blob)
         return sorted(table.as_dict().items())
 
-    repeats = cfg["repeats"]
     return _row(
         "arc_fold",
         {"inputs": cfg["inputs"], "records_per_input": cfg["narcs"],
          "distinct_sites": cfg["arc_sites"]},
         type(kernels.arc_table()).__name__,
-        _timed(lambda: fold(ArcTable), repeats),
-        _timed(lambda: fold(kernels.arc_table), repeats),
+        lambda: fold(ArcTable),
+        lambda: fold(kernels.arc_table),
+        cfg["repeats"],
     )
 
 
@@ -178,14 +169,14 @@ def bench_apportion(cfg: dict) -> tuple[dict, bool]:
             out.append(sorted(fn(spans, counts, sec_per_tick).items()))
         return out
 
-    repeats = cfg["repeats"]
     return _row(
         "apportion",
         {"nbuckets": nbuckets, "symbols": nsyms,
          "inputs": cfg["ap_inputs"]},
         "prefix_sum",
-        _timed(lambda: evaluate(apportion_python), repeats),
-        _timed(lambda: evaluate(apportion), repeats),
+        lambda: evaluate(apportion_python),
+        lambda: evaluate(apportion),
+        cfg["repeats"],
     )
 
 
@@ -216,13 +207,13 @@ def bench_propagate(cfg: dict) -> dict:
         for _ in range(nsolves):
             kprop.solve(plan, self_times)
 
-    seconds, _ = _timed(solve, cfg["repeats"])
+    seconds, _ = rounds({"production": solve}, cfg["repeats"])
     return {
         "kernel": "propagate",
         "workload": {"routines": len(plan.routines),
                      "arcs": len(plan.arc_count), "solves": nsolves},
         "production": "scalar",
-        "seconds": {"production": round(seconds, 6)},
+        "production_seconds": summary(seconds["production"]),
     }
 
 
@@ -261,36 +252,23 @@ def run_kernels(quick: bool) -> tuple[dict, bool]:
         rows.append(row)
         print(
             f"  {row['kernel']:<12} reference "
-            f"{row['seconds']['reference'] * 1000:8.1f} ms"
-            f"  {row['production']} {row['speedup']}x"
+            f"{row['reference_seconds']['median'] * 1000:8.1f} ms"
+            f"  {row['production']} {spread(row['speedup'])}"
             f"  identical={identical}"
         )
     row = bench_propagate(cfg)
     rows.append(row)
     print(
         f"  {row['kernel']:<12} {row['production']} "
-        f"{row['seconds']['production'] * 1000:8.1f} ms"
+        f"{row['production_seconds']['median'] * 1000:8.1f} ms"
     )
     wire_identical = check_end_to_end_bytes(cfg)
     identical_everywhere &= wire_identical
     print(f"  end-to-end merged gmon bytes identical={wire_identical}")
-    report = {
-        "benchmark": "T-KERN bulk kernels, production vs reference",
-        "mode": "quick" if quick else "full",
-        "python": platform.python_version(),
-        "cpus": os.cpu_count(),
-        "folds": kernels.default_backend_name(),
+    return {
+        **header("T-KERN bulk kernels, production vs reference", quick,
+                 cfg["repeats"]),
         "seed": SEED,
         "rows": rows,
         "wire_identical": wire_identical,
-    }
-    return report, identical_everywhere
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import json
-    import sys
-
-    report, ok = run_kernels("--quick" in sys.argv)
-    print(json.dumps(report, indent=2))
-    sys.exit(0 if ok else 2)
+    }, identical_everywhere

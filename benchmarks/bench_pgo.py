@@ -26,15 +26,13 @@ pytest entries below, sharing one harness with the feedback loop.
 
 from __future__ import annotations
 
-import os
-import platform
-
 from repro.core import analyze
 from repro.lang import compile_source, run_pgo
 from repro.lang.programs import REL_PROGRAMS
 from repro.machine import Monitor, MonitorConfig, make_cpu
 
 from benchmarks.conftest import report
+from benchmarks.timing import header
 
 #: The retired A-INLINE workload: a formatting-flavoured helper the
 #: benefit model should inline, echoing the paper's "format expanded
@@ -146,10 +144,8 @@ def run_pgo_suite(quick: bool) -> tuple[dict, bool]:
         + ("PASS" if ok else "FAIL")
     )
     return {
-        "benchmark": "T-PGO profile-guided optimization loop",
-        "mode": "quick" if quick else "full",
-        "python": platform.python_version(),
-        "cpus": os.cpu_count(),
+        # cycle counts repeat exactly: one measurement of each suffices
+        **header("T-PGO profile-guided optimization loop", quick, 1),
         "cycles_per_tick": CYCLES_PER_TICK,
         "rounds": rounds,
         "improved_programs": improved,

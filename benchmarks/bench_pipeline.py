@@ -24,7 +24,6 @@ the trajectory is 3x.
 from __future__ import annotations
 
 import random
-import time
 
 from repro.core import AnalysisOptions, analyze
 from repro.core.histogram import Histogram
@@ -34,12 +33,14 @@ from repro.core.symbols import Symbol, SymbolTable
 from repro.pipeline import AnalysisCache
 from repro.report import format_flat_profile, format_graph_profile
 
+from benchmarks.timing import header, ratio, rounds, spread, summary
+
 #: Synthetic graph shapes.  Mostly-forward arcs with a sprinkle of
 #: back-edges: realistic cycle counts without one giant SCC.
 FULL = {"sizes": (500, 2000), "arcs_per_routine": 4, "nbuckets": 4096,
-        "cold_repeats": 3, "warm_repeats": 10}
+        "repeats": 9}
 QUICK = {"sizes": (200,), "arcs_per_routine": 4, "nbuckets": 512,
-         "cold_repeats": 1, "warm_repeats": 3}
+         "repeats": 3}
 
 _SPAN = 16  # address units per synthetic routine
 
@@ -76,16 +77,6 @@ def listings(profile) -> str:
     )
 
 
-def _timed(fn, repeats: int):
-    """(best wall-clock seconds, last result) over ``repeats`` runs."""
-    best, result = float("inf"), None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
-
-
 def run_pipeline(quick: bool) -> tuple[dict, bool]:
     cfg = QUICK if quick else FULL
     rows = []
@@ -102,66 +93,61 @@ def run_pipeline(quick: bool) -> tuple[dict, bool]:
         edited = AnalysisOptions(deleted_arcs=[(victim.caller, victim.callee)])
         edited_reference = analyze(data, symbols, edited)
 
-        cold_s, cold_profile = _timed(
-            lambda: analyze(data, symbols, options), cfg["cold_repeats"]
-        )
         cache = AnalysisCache()
         analyze(data, symbols, options, cache=cache)  # prime
-        warm_s, warm_profile = _timed(
-            lambda: analyze(data, symbols, options, cache=cache),
-            cfg["warm_repeats"],
-        )
-        # Each edit repeat gets a freshly-primed cache: the point is the
-        # partial-reuse path (early groups hit, graph editing re-runs),
-        # not a second warm hit on the edited keys themselves.
-        edit_s, edit_profile = float("inf"), None
-        for _ in range(cfg["cold_repeats"]):
+
+        def primed() -> AnalysisCache:
+            # Each edit round gets a freshly-primed cache: the point is
+            # the partial-reuse path (early groups hit, graph editing
+            # re-runs), not a second warm hit on the edited keys.
             edit_cache = AnalysisCache()
             analyze(data, symbols, options, cache=edit_cache)
-            t0 = time.perf_counter()
-            edit_profile = analyze(data, symbols, edited, cache=edit_cache)
-            edit_s = min(edit_s, time.perf_counter() - t0)
+            return edit_cache
+
+        seconds, profiles = rounds(
+            {
+                "cold": lambda _: analyze(data, symbols, options),
+                "warm": lambda _: analyze(data, symbols, options, cache=cache),
+                "edit": lambda edit_cache: analyze(
+                    data, symbols, edited, cache=edit_cache
+                ),
+            },
+            cfg["repeats"],
+            setup=primed,
+        )
         want = listings(reference)
         identical = (
-            listings(cold_profile) == want
-            and listings(warm_profile) == want
-            and listings(edit_profile) == listings(edited_reference)
+            listings(profiles["cold"]) == want
+            and listings(profiles["warm"]) == want
+            and listings(profiles["edit"]) == listings(edited_reference)
         )
         identical_everywhere &= identical
         row = {
             "routines": n,
             "raw_arcs": len(data.arcs),
-            "cold_ms": round(cold_s * 1000, 3),
-            "warm_ms": round(warm_s * 1000, 3),
-            "edit_ms": round(edit_s * 1000, 3),
-            "speedup_warm_vs_cold": round(cold_s / warm_s, 2),
-            "speedup_edit_vs_cold": round(cold_s / edit_s, 2),
+            **{
+                f"{variant}_ms": summary(s * 1000 for s in seconds[variant])
+                for variant in ("cold", "warm", "edit")
+            },
+            "speedup_warm_vs_cold": ratio(seconds, "cold", "warm"),
+            "speedup_edit_vs_cold": ratio(seconds, "cold", "edit"),
             "byte_identical": identical,
         }
         rows.append(row)
         print(
-            f"  {n:>5} routines: cold {row['cold_ms']:>9.2f} ms"
-            f"  warm {row['warm_ms']:>8.3f} ms"
-            f"  ({row['speedup_warm_vs_cold']}x)"
-            f"  edit {row['edit_ms']:>8.3f} ms"
-            f"  ({row['speedup_edit_vs_cold']}x)"
+            f"  {n:>5} routines: cold {row['cold_ms']['median']:>9.2f} ms"
+            f"  warm {row['warm_ms']['median']:>8.3f} ms"
+            f"  ({spread(row['speedup_warm_vs_cold'])})"
+            f"  edit {row['edit_ms']['median']:>8.3f} ms"
+            f"  ({spread(row['speedup_edit_vs_cold'])})"
             f"  identical={identical}"
         )
-    import os
-    import platform
-
-    report = {
-        "benchmark": "T-PIPE repeated-analysis latency",
-        "mode": "quick" if quick else "full",
-        "python": platform.python_version(),
-        "cpus": os.cpu_count(),
+    return {
+        **header("T-PIPE repeated-analysis latency", quick, cfg["repeats"]),
         "corpus": {
             "arcs_per_routine": cfg["arcs_per_routine"],
             "nbuckets": cfg["nbuckets"],
             "seed": 4321,
-            "cold_repeats": cfg["cold_repeats"],
-            "warm_repeats": cfg["warm_repeats"],
         },
         "rows": rows,
-    }
-    return report, identical_everywhere
+    }, identical_everywhere

@@ -6,13 +6,17 @@ HTTP stack:
 * **ingest** — boot a :class:`ReproServer` on a loopback port, upload a
   synthetic fleet of gmon files from several concurrent agent threads
   (one tenant per thread, so per-tenant ordering is exercised alongside
-  cross-tenant sharding), and record uploads/second — once with the
-  durable fsync-per-append journal, once with ``fsync`` off to show
-  what the durability guarantee costs;
-* **recovery** — abandon the durable server *without* a graceful stop
-  (its checkpoint is stale, its journal long — the on-disk shape a
-  ``kill -9`` leaves), then time a cold :class:`TenantStore` recovery
-  of every tenant and count the journal records replayed;
+  cross-tenant sharding), and record uploads/second — with the durable
+  fsync-per-append journal and with ``fsync`` off, in interleaved
+  rounds, to show what the durability guarantee costs.  Each round
+  boots both servers untimed on fresh roots, and each timed upload
+  ends by abandoning its server *without* a graceful stop (under a
+  millisecond): its checkpoint is stale, its journal long — the
+  on-disk shape a ``kill -9`` leaves;
+* **recovery** — time a cold :class:`TenantStore` recovery of every
+  tenant of the last abandoned durable root and count the journal
+  records replayed.  Recovering a clean journal writes nothing, so
+  every round replays the same root;
 * **identity gate** — the recovered merged profile of every tenant must
   be byte-identical to an offline :func:`tree_reduce` of exactly the
   files that tenant uploaded.  A mismatch makes the suite exit 2 in CI.
@@ -25,21 +29,24 @@ Usage::
 from __future__ import annotations
 
 import asyncio
-import os
-import platform
+import tempfile
 import threading
-import time
 from pathlib import Path
 
 from repro.fleet import tree_reduce
 from repro.gmon import dumps_gmon
-from repro.serve import AgentClient, ReproServer, RetryPolicy, ServeConfig
+from repro.serve import (
+    AgentClient, Quarantine, ReproServer, RetryPolicy, ServeConfig,
+)
 from repro.serve.state import TenantStore
 
+from benchmarks.bench_fleet import build_corpus
+from benchmarks.timing import header, ratio, rounds, spread, summary
+
 FULL = {"files": 400, "tenants": 4, "nbuckets": 2000, "narcs": 400,
-        "arc_sites": 600}
+        "arc_sites": 600, "repeats": 9}
 QUICK = {"files": 60, "tenants": 3, "nbuckets": 200, "narcs": 40,
-         "arc_sites": 60}
+         "arc_sites": 60, "repeats": 3}
 
 
 class ServerThread:
@@ -86,8 +93,8 @@ class ServerThread:
         self._thread.join(30)
 
 
-def upload_fleet(host: str, port: int, assignments) -> float:
-    """Upload every (tenant, path) slice from its own thread; seconds."""
+def upload_fleet(host: str, port: int, assignments) -> None:
+    """Upload every (tenant, path) slice from its own thread."""
     errors: list[BaseException] = []
 
     def agent(tenant: str, paths: list[str]) -> None:
@@ -105,35 +112,15 @@ def upload_fleet(host: str, port: int, assignments) -> float:
         threading.Thread(target=agent, args=(tenant, paths))
         for tenant, paths in assignments.items()
     ]
-    t0 = time.perf_counter()
     for t in threads:
         t.start()
     for t in threads:
         t.join()
-    elapsed = time.perf_counter() - t0
     if errors:
         raise errors[0]
-    return elapsed
-
-
-def ingest_run(root: Path, assignments, fsync: bool) -> tuple[float, ServeConfig]:
-    config = ServeConfig(
-        root=str(root), port=0, fsync=fsync,
-        checkpoint_every=10_000,  # keep the journal long for recovery
-    )
-    server = ServerThread(config)
-    host, port = server.start()
-    try:
-        elapsed = upload_fleet(host, port, assignments)
-    finally:
-        server.stop(graceful=False)
-    return elapsed, config
 
 
 def run_serve(quick: bool) -> tuple[dict, bool]:
-    from benchmarks.emit_bench import build_corpus
-    import tempfile
-
     cfg = QUICK if quick else FULL
     byte_identical = True
     with tempfile.TemporaryDirectory(prefix="bench_serve_") as tmp:
@@ -148,57 +135,84 @@ def run_serve(quick: bool) -> tuple[dict, bool]:
             for i in range(cfg["tenants"])
         }
 
-        durable_s, durable_cfg = ingest_run(
-            Path(tmp) / "durable", assignments, fsync=True
+        def boot() -> dict:
+            """Untimed: a durable and a no-fsync server on fresh roots."""
+            servers = {}
+            for fsync in (True, False):
+                servers[fsync] = ServerThread(ServeConfig(
+                    root=tempfile.mkdtemp(dir=tmp), port=0, fsync=fsync,
+                    checkpoint_every=10_000,  # keep the journal long
+                ))
+                servers[fsync].start()
+            return servers
+
+        def ingest(fsync: bool):
+            def upload(servers: dict) -> ServeConfig:
+                server = servers[fsync]
+                try:
+                    upload_fleet(*server.addr, assignments)
+                finally:
+                    server.stop(graceful=False)
+                return server.config
+            return upload
+
+        seconds, configs = rounds(
+            {"durable": ingest(True), "nofsync": ingest(False)},
+            cfg["repeats"],
+            setup=boot,
         )
-        fast_s, _ = ingest_run(Path(tmp) / "fast", assignments, fsync=False)
 
         # recovery: cold-open every tenant of the abandoned durable root
-        from repro.serve import Quarantine
-
-        quarantine = Quarantine(durable_cfg.quarantine_root())
-        t0 = time.perf_counter()
-        stores = {
-            tenant: TenantStore.open(tenant, durable_cfg, quarantine)
-            for tenant in assignments
-        }
-        recovery_s = time.perf_counter() - t0
+        durable = configs["durable"]
+        quarantine = Quarantine(durable.quarantine_root())
+        recovery, recovered = rounds(
+            {
+                "recovery": lambda: {
+                    tenant: TenantStore.open(tenant, durable, quarantine)
+                    for tenant in assignments
+                }
+            },
+            cfg["repeats"],
+        )
+        stores = recovered["recovery"]
         replayed = sum(s.since_checkpoint for s in stores.values())
 
         for tenant, slice_paths in assignments.items():
             offline = dumps_gmon(tree_reduce(slice_paths))
-            recovered = stores[tenant].merged()
-            if recovered != offline:
+            if stores[tenant].merged() != offline:
                 byte_identical = False
             stores[tenant].close()
 
         n = cfg["files"]
+        durable_s = summary(seconds["durable"])
+        nofsync_s = summary(seconds["nofsync"])
+        recovery_s = summary(recovery["recovery"])
         row = {
             "files": n,
             "tenants": cfg["tenants"],
-            "durable_seconds": round(durable_s, 6),
-            "durable_uploads_per_sec": round(n / durable_s, 1),
-            "nofsync_seconds": round(fast_s, 6),
-            "nofsync_uploads_per_sec": round(n / fast_s, 1),
-            "fsync_cost_factor": round(durable_s / fast_s, 2),
-            "recovery_seconds": round(recovery_s, 6),
+            "durable_seconds": durable_s,
+            "durable_uploads_per_sec": round(n / durable_s["median"], 1),
+            "nofsync_seconds": nofsync_s,
+            "nofsync_uploads_per_sec": round(n / nofsync_s["median"], 1),
+            "fsync_cost_factor": ratio(seconds, "durable", "nofsync"),
+            "recovery_seconds": recovery_s,
             "records_replayed": replayed,
-            "records_replayed_per_sec": round(replayed / recovery_s, 1)
-            if recovery_s else None,
+            "records_replayed_per_sec": round(
+                replayed / recovery_s["median"], 1
+            ),
             "byte_identical": byte_identical,
         }
         print(
             f"  {n:>5} uploads: durable "
             f"{row['durable_uploads_per_sec']:>8} up/s"
             f"  no-fsync {row['nofsync_uploads_per_sec']:>8} up/s"
-            f"  recovery {row['recovery_seconds']:.3f}s"
+            f"  (fsync {spread(row['fsync_cost_factor'])})"
+            f"  recovery {recovery_s['median']:.3f}s"
             f" ({replayed} records)  identical={byte_identical}"
         )
-    report = {
-        "benchmark": "T-SERVE ingest throughput and crash recovery",
-        "mode": "quick" if quick else "full",
-        "python": platform.python_version(),
-        "cpus": os.cpu_count(),
+    return {
+        **header("T-SERVE ingest throughput and crash recovery", quick,
+                 cfg["repeats"]),
         "corpus": {
             "nbuckets": cfg["nbuckets"],
             "narcs": cfg["narcs"],
@@ -206,5 +220,4 @@ def run_serve(quick: bool) -> tuple[dict, bool]:
             "seed": 1234,
         },
         "rows": [row],
-    }
-    return report, byte_identical
+    }, byte_identical

@@ -10,10 +10,11 @@ Three measurements on the :class:`~repro.machine.smp.SMPMachine`:
   routine invocation takes a real ``threading.Lock`` around one shared
   buffer.  Both record the identical union of events (checked in the
   same run the speed is measured in); the committed numbers show what
-  the lock costs as the machine widens.  The two layouts run in pairs,
-  alternating which goes first, and ``lock_overhead`` is the median of
-  the per-pair ratios with its quartiles, so a host whose speed swings
-  between runs moves both halves of a pair together.
+  the lock costs as the machine widens.  The two layouts run in
+  interleaved rounds, alternating which goes first, and
+  ``lock_overhead`` is the median of the per-round ratios with its
+  quartiles, so a host whose speed swings between runs moves both
+  halves of a round together.
 
 * **Merge cost vs CPU count.**  :func:`~repro.machine.smp.reduce_shards`
   folds N shard snapshots through the fleet accumulator; the trajectory
@@ -30,16 +31,16 @@ Three measurements on the :class:`~repro.machine.smp.SMPMachine`:
 
 from __future__ import annotations
 
-import os
-import platform
-import time
-from statistics import median
+from functools import partial
 
-from benchmarks.e2e.harness import quartiles
 from repro.gmon import dumps_gmon
 from repro.machine import assemble
 from repro.machine.programs import PROGRAMS
 from repro.machine.smp import POLICIES, SMPMachine, reduce_shards
+
+from benchmarks.timing import (
+    fresh_rounds, header, ratio, rounds, spread, summary,
+)
 
 #: Workload shape: call-heavy so the monitoring routine (the part the
 #: strawman wraps in a lock) dominates profiling overhead.
@@ -48,16 +49,14 @@ FULL = {
     "nprocs": 4,
     "cpu_counts": (1, 2, 4, 8),
     "seeds": (0, 1, 2),
-    "pairs": 9,
-    "repeats": 3,
+    "repeats": 9,
 }
 QUICK = {
     "program": ("call_heavy", {"calls": 600}),
     "nprocs": 4,
     "cpu_counts": (1, 2, 4),
     "seeds": (0, 1, 2),
-    "pairs": 3,
-    "repeats": 1,
+    "repeats": 3,
 }
 
 CYCLES_PER_TICK = 50
@@ -80,23 +79,6 @@ def build_machine(exe, cfg, ncpus, seed=0, policy="rr", sharding="percpu"):
     )
 
 
-def paired_runs(exe, cfg, ncpus):
-    """Time both layouts in ``cfg["pairs"]`` pairs, alternating which is
-    first; returns ``({sharding: seconds per pair}, {sharding: machine})``.
-    """
-    order = ("percpu", "global-lock")
-    seconds = {sharding: [] for sharding in order}
-    machines = {}
-    for i in range(cfg["pairs"]):
-        for sharding in order if i % 2 == 0 else order[::-1]:
-            machine = build_machine(exe, cfg, ncpus, sharding=sharding)
-            t0 = time.perf_counter()
-            machine.run()
-            seconds[sharding].append(time.perf_counter() - t0)
-            machines[sharding] = machine
-    return seconds, machines
-
-
 def merged_bytes(machine, comment):
     return dumps_gmon(machine.merged_profile(comment=comment))
 
@@ -111,14 +93,15 @@ def run_smp(quick: bool) -> tuple[dict, bool]:
     throughput_rows = []
     baseline_bytes = None
     for ncpus in cfg["cpu_counts"]:
-        seconds, machines = paired_runs(exe, cfg, ncpus)
-        sharded_m, locked_m = machines["percpu"], machines["global-lock"]
-        sharded_s = median(seconds["percpu"])
-        locked_s = median(seconds["global-lock"])
-        q1, ratio, q3 = quartiles(
-            lock / shard
-            for lock, shard in zip(seconds["global-lock"], seconds["percpu"])
+        seconds, machines = fresh_rounds(
+            {
+                sharding: partial(build_machine, exe, cfg, ncpus,
+                                  sharding=sharding)
+                for sharding in ("percpu", "global-lock")
+            },
+            cfg["repeats"],
         )
+        sharded_m, locked_m = machines["percpu"], machines["global-lock"]
         sharded_bytes = merged_bytes(sharded_m, comment)
         if baseline_bytes is None:
             baseline_bytes = sharded_bytes
@@ -130,16 +113,19 @@ def run_smp(quick: bool) -> tuple[dict, bool]:
         instructions = sum(
             p.cpu.instructions_executed for p in sharded_m.procs
         )
+        sharded_s = summary(seconds["percpu"])
+        locked_s = summary(seconds["global-lock"])
         row = {
             "cpus": ncpus,
-            "sharded_seconds": round(sharded_s, 6),
-            "global_lock_seconds": round(locked_s, 6),
-            "sharded_minstr_per_sec": round(instructions / sharded_s / 1e6, 3),
-            "global_lock_minstr_per_sec": round(instructions / locked_s / 1e6, 3),
-            "lock_overhead": round(ratio, 3),
-            "lock_overhead_q1": round(q1, 3),
-            "lock_overhead_q3": round(q3, 3),
-            "pairs": cfg["pairs"],
+            "sharded_seconds": sharded_s,
+            "global_lock_seconds": locked_s,
+            "sharded_minstr_per_sec": round(
+                instructions / sharded_s["median"] / 1e6, 3
+            ),
+            "global_lock_minstr_per_sec": round(
+                instructions / locked_s["median"] / 1e6, 3
+            ),
+            "lock_overhead": ratio(seconds, "global-lock", "percpu"),
             "events": sharded_m.total_ticks() + sharded_m.total_calls(),
             "byte_identical": identical,
         }
@@ -147,8 +133,7 @@ def run_smp(quick: bool) -> tuple[dict, bool]:
         print(
             f"  {ncpus:>2} cpus: sharded {row['sharded_minstr_per_sec']:>7} Mi/s"
             f"  global-lock {row['global_lock_minstr_per_sec']:>7} Mi/s"
-            f"  (lock {row['lock_overhead']}x [{row['lock_overhead_q1']},"
-            f" {row['lock_overhead_q3']}])"
+            f"  (lock {spread(row['lock_overhead'])})"
             f"  identical={identical}"
         )
 
@@ -158,25 +143,28 @@ def run_smp(quick: bool) -> tuple[dict, bool]:
         machine = build_machine(exe, cfg, ncpus)
         machine.run()
         parts = machine.extract(comment=comment)
-        best = float("inf")
-        for _ in range(max(cfg["repeats"], 3)):
-            t0 = time.perf_counter()
-            merged = reduce_shards(
-                parts, comment=comment, runs=cfg["nprocs"]
-            )
-            best = min(best, time.perf_counter() - t0)
-        identical = dumps_gmon(merged) == baseline_bytes
+        seconds, merged = rounds(
+            {
+                "merge": lambda: reduce_shards(
+                    parts, comment=comment, runs=cfg["nprocs"]
+                )
+            },
+            cfg["repeats"],
+        )
+        identical = dumps_gmon(merged["merge"]) == baseline_bytes
         identical_everywhere &= identical
+        merge_s = summary(seconds["merge"])
         merge_rows.append(
             {
                 "shards": len(parts),
-                "merge_seconds": round(best, 6),
-                "merges_per_sec": round(1.0 / best, 1),
+                "merge_seconds": merge_s,
+                "merges_per_sec": round(1.0 / merge_s["median"], 1),
                 "byte_identical": identical,
             }
         )
         print(
-            f"  merge {len(parts):>2} shard(s): {round(best * 1e3, 3)} ms"
+            f"  merge {len(parts):>2} shard(s): "
+            f"{round(merge_s['median'] * 1e3, 3)} ms"
             f"  identical={identical}"
         )
 
@@ -196,21 +184,15 @@ def run_smp(quick: bool) -> tuple[dict, bool]:
         f"{gate['mismatches']} mismatches"
     )
 
-    report = {
-        "benchmark": "T-SMP sharded profiling",
-        "mode": "quick" if quick else "full",
-        "python": platform.python_version(),
-        "host_cpus": os.cpu_count(),
+    return {
+        **header("T-SMP sharded profiling", quick, cfg["repeats"]),
         "workload": {
             "program": cfg["program"][0],
             "args": cfg["program"][1],
             "nprocs": cfg["nprocs"],
             "cycles_per_tick": CYCLES_PER_TICK,
-            "pairs": cfg["pairs"],
-            "repeats": cfg["repeats"],
         },
         "throughput": throughput_rows,
         "merge": merge_rows,
         "identity_gate": gate,
-    }
-    return report, identical_everywhere
+    }, identical_everywhere

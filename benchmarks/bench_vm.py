@@ -13,15 +13,14 @@ lives by:
   arcs, byte-identical ``gmon.out`` (checked here in the same run the
   speed is measured in; the full differential battery lives in
   ``tests/test_fastcpu_equivalence.py``);
-* **throughput** — the committed BENCH_vm.json records 6-11x profiled
-  and 11-14x unprofiled instructions/second on fib / call_heavy /
-  insertion_sort; the pytest check asserts a conservative 3x floor so
-  loaded CI machines don't flake;
+* **throughput** — each speedup in the committed BENCH_vm.json is the
+  median of per-round reference/fast ratios; the pytest check asserts
+  a conservative 3x floor so loaded CI machines don't flake;
 * **host profiling overhead** — each row's ``host_profiling_overhead``
-  is profiled over unprofiled fast-engine seconds.  Profiling ticks
-  fire inside the fast dispatch loop, so the pytest check bounds it at
-  1.5x on compute_heavy (a tick crossing on nearly every WORK) and on
-  fib (an MCOUNT on every call).
+  is the median of per-round profiled/unprofiled fast-engine seconds.
+  Profiling ticks fire inside the fast dispatch loop, so the pytest
+  check bounds it at 1.5x on compute_heavy (a tick crossing on nearly
+  every WORK) and on fib (an MCOUNT on every call).
 
 ``python -m benchmarks.emit_bench --suite vm`` is the standalone runner
 that measures the full trajectory and writes BENCH_vm.json.
@@ -29,8 +28,7 @@ that measures the full trajectory and writes BENCH_vm.json.
 
 from __future__ import annotations
 
-import statistics
-import time
+from functools import partial
 
 import pytest
 
@@ -39,91 +37,102 @@ from repro.machine import ENGINES, Monitor, MonitorConfig, assemble, make_cpu
 from repro.machine.programs import PROGRAMS
 
 from benchmarks.conftest import report
+from benchmarks.timing import fresh_rounds, header, ratio, spread, summary
 
 #: Workloads: (program, builder kwargs) at several sizes, covering the
 #: call-dominated, arithmetic-dominated, and WORK-dominated regimes.
-FULL_WORKLOADS = [
-    ("fib", {"n": 20}),
-    ("call_heavy", {"calls": 20000}),
-    ("compute_heavy", {"calls": 2000, "work": 200}),
-    ("insertion_sort", {"n": 64}),
-    ("hanoi", {"disks": 12}),
-]
-QUICK_WORKLOADS = [
-    ("fib", {"n": 14}),
-    ("call_heavy", {"calls": 2000}),
-    ("compute_heavy", {"calls": 200, "work": 200}),
-    ("insertion_sort", {"n": 24}),
-]
+FULL = {
+    "workloads": [
+        ("fib", {"n": 20}),
+        ("call_heavy", {"calls": 20000}),
+        ("compute_heavy", {"calls": 2000, "work": 200}),
+        ("insertion_sort", {"n": 64}),
+        ("hanoi", {"disks": 12}),
+    ],
+    "repeats": 9,
+}
+QUICK = {
+    "workloads": [
+        ("fib", {"n": 14}),
+        ("call_heavy", {"calls": 2000}),
+        ("compute_heavy", {"calls": 200, "work": 200}),
+        ("insertion_sort", {"n": 24}),
+    ],
+    "repeats": 3,
+}
 
 CYCLES_PER_TICK = 100
 
-#: Back-to-back profiled/unprofiled pairs behind each
-#: ``host_profiling_overhead`` figure.
-OVERHEAD_ROUNDS = 9
+
+def _cpu(exe, engine: str, profile: bool):
+    """A fresh CPU, with a fresh monitor when profiling.
+
+    Timed runs share one image per mode (predecode is cached on it, as
+    on a long-lived image) and build their CPUs untimed.
+    """
+    monitor = None
+    if profile:
+        monitor = Monitor(
+            MonitorConfig(exe.low_pc, exe.high_pc, cycles_per_tick=CYCLES_PER_TICK)
+        )
+    return make_cpu(exe, monitor, engine=engine)
+
+
+def _gmon(cpu):
+    return dumps_gmon(cpu.monitor.snapshot()) if cpu.monitor else None
 
 
 def _execute(source: str, engine: str, profile: bool):
     """One run; returns (cpu, gmon bytes or None)."""
-    exe = assemble(source, profile=profile)
-    monitor = None
-    if profile:
-        monitor = Monitor(
-            MonitorConfig(exe.low_pc, exe.high_pc, cycles_per_tick=CYCLES_PER_TICK)
-        )
-    cpu = make_cpu(exe, monitor, engine=engine)
+    cpu = _cpu(assemble(source, profile=profile), engine, profile)
     cpu.run()
-    gmon = dumps_gmon(monitor.snapshot()) if profile else None
-    return cpu, gmon
+    return cpu, _gmon(cpu)
 
 
-def _timed_run(exe, engine: str, profile: bool):
-    """Run a pre-assembled image on a fresh monitor and CPU; returns
-    ``(seconds, cpu, monitor)``, timing execution only."""
-    monitor = None
-    if profile:
-        monitor = Monitor(
-            MonitorConfig(exe.low_pc, exe.high_pc, cycles_per_tick=CYCLES_PER_TICK)
-        )
-    cpu = make_cpu(exe, monitor, engine=engine)
-    t0 = time.perf_counter()
-    cpu.run()
-    return time.perf_counter() - t0, cpu, monitor
+def compare_engines(source: str, profile: bool, repeats: int) -> dict:
+    """Both engines on one image: one mode's columns of a row.
 
-
-def measure(source: str, engine: str, profile: bool, repeats: int):
-    """Best-of instructions/second plus the run's observables.
-
-    Only execution is timed: the image is assembled once and shared
-    (predecode is cached on it, so a multi-repeat measurement amortizes
-    the one-time lowering exactly as a long-lived image would), while
-    each repeat gets a fresh monitor and CPU.
+    ``identical`` compares the observables of the runs that were timed:
+    gmon bytes, cycle clock, instruction count and output.
     """
     exe = assemble(source, profile=profile)
-    best, cpu, gmon = float("inf"), None, None
-    for _ in range(repeats):
-        secs, cpu, monitor = _timed_run(exe, engine, profile)
-        best = min(best, secs)
-        gmon = dumps_gmon(monitor.snapshot()) if profile else None
-    return cpu.instructions_executed / best, best, cpu, gmon
+    seconds, cpus = fresh_rounds(
+        {engine: partial(_cpu, exe, engine, profile) for engine in ENGINES},
+        repeats,
+    )
+    fast, ref = cpus["fast"], cpus["reference"]
+    columns = {"instructions": fast.instructions_executed}
+    for engine in ENGINES:
+        columns[f"{engine}_seconds"] = summary(seconds[engine])
+        columns[f"{engine}_ips"] = round(
+            cpus[engine].instructions_executed
+            / columns[f"{engine}_seconds"]["median"]
+        )
+    columns["speedup"] = ratio(seconds, "reference", "fast")
+    columns["identical"] = (
+        _gmon(fast) == _gmon(ref)
+        and fast.cycles == ref.cycles
+        and fast.instructions_executed == ref.instructions_executed
+        and fast.output == ref.output
+    )
+    return columns
 
 
-def host_overhead(source: str, rounds: int) -> float:
-    """Profiled over unprofiled fast-engine seconds: the median ratio of
-    ``rounds`` back-to-back pairs of runs.
+def host_overhead(source: str, repeats: int) -> dict:
+    """Profiled over unprofiled fast-engine seconds, round by round.
 
-    The two runs of a pair are adjacent in time, so they see the same
-    host speed, and the median drops the pairs where the speed changed
-    between them.  Best-of-N profiled and unprofiled blocks timed one
-    after the other can each land on a different host speed.
+    Seconds, not instructions/second: the profiled image also runs the
+    MCOUNT prologues, so its instruction count is larger.
     """
-    images = {profile: assemble(source, profile=profile) for profile in (True, False)}
-    ratios = []
-    for _ in range(rounds):
-        profiled, _, _ = _timed_run(images[True], "fast", True)
-        unprofiled, _, _ = _timed_run(images[False], "fast", False)
-        ratios.append(profiled / unprofiled)
-    return statistics.median(ratios)
+    seconds, _ = fresh_rounds(
+        {
+            mode: partial(_cpu, assemble(source, profile=profile), "fast",
+                          profile)
+            for mode, profile in (("profiled", True), ("unprofiled", False))
+        },
+        repeats,
+    )
+    return ratio(seconds, "profiled", "unprofiled")
 
 
 def run_vm(quick: bool) -> tuple[dict, bool]:
@@ -131,60 +140,30 @@ def run_vm(quick: bool) -> tuple[dict, bool]:
 
     Returns ``(report_dict, identical_everywhere)`` where the flag
     asserts byte-identical gmon output (and identical machine state)
-    between the engines on every profiled workload.
+    between the engines on every workload, profiled and unprofiled.
     """
-    workloads = QUICK_WORKLOADS if quick else FULL_WORKLOADS
-    repeats = 1 if quick else 3
+    cfg = QUICK if quick else FULL
     rows = []
     identical_everywhere = True
-    for name, kwargs in workloads:
+    for name, kwargs in cfg["workloads"]:
         source = PROGRAMS[name](**kwargs)
         row = {"program": name, "args": kwargs}
         for profile in (True, False):
             mode = "profiled" if profile else "unprofiled"
-            results = {}
-            for engine in ENGINES:
-                ips, secs, cpu, gmon = measure(source, engine, profile, repeats)
-                results[engine] = (cpu, gmon)
-                row[f"{mode}_{engine}_ips"] = round(ips)
-                row[f"{mode}_{engine}_seconds"] = round(secs, 6)
-            fast_cpu, fast_gmon = results["fast"]
-            ref_cpu, ref_gmon = results["reference"]
-            identical = (
-                fast_gmon == ref_gmon
-                and fast_cpu.cycles == ref_cpu.cycles
-                and fast_cpu.instructions_executed == ref_cpu.instructions_executed
-                and fast_cpu.output == ref_cpu.output
-            )
-            identical_everywhere &= identical
-            row[f"{mode}_speedup"] = round(
-                row[f"{mode}_fast_ips"] / row[f"{mode}_reference_ips"], 2
-            )
-            row[f"{mode}_identical"] = identical
-        row["instructions"] = results["fast"][0].instructions_executed
-        # Seconds, not instr/s: the profiled image also runs the MCOUNT
-        # prologues, so its instruction count is larger.
-        row["host_profiling_overhead"] = round(
-            host_overhead(source, OVERHEAD_ROUNDS), 2
-        )
+            columns = compare_engines(source, profile, cfg["repeats"])
+            identical_everywhere &= columns["identical"]
+            row.update((f"{mode}_{key}", value) for key, value in columns.items())
+        row["host_profiling_overhead"] = host_overhead(source, cfg["repeats"])
         rows.append(row)
         print(
-            f"  {name:>15}: profiled {row['profiled_speedup']:>5}x"
-            f"  unprofiled {row['unprofiled_speedup']:>5}x"
-            f"  overhead {row['host_profiling_overhead']:>4}x"
-            f"  ({row['instructions']} instructions)"
+            f"  {name:>15}: profiled {spread(row['profiled_speedup'])}"
+            f"  unprofiled {spread(row['unprofiled_speedup'])}"
+            f"  overhead {spread(row['host_profiling_overhead'])}"
             f"  identical={row['profiled_identical'] and row['unprofiled_identical']}"
         )
-    import os
-    import platform
-
     return {
-        "benchmark": "T-VM interpreter throughput",
-        "mode": "quick" if quick else "full",
-        "python": platform.python_version(),
-        "cpus": os.cpu_count(),
+        **header("T-VM interpreter throughput", quick, cfg["repeats"]),
         "cycles_per_tick": CYCLES_PER_TICK,
-        "repeats": repeats,
         "rows": rows,
     }, identical_everywhere
 
@@ -215,24 +194,21 @@ def test_fast_engine_unprofiled_throughput(benchmark):
                          ids=["profiled", "unprofiled"])
 def test_fast_engine_at_least_3x(profile):
     """The acceptance floor, asserted on every pytest run; the full
-    magnitudes (6-14x) live in the committed BENCH_vm.json."""
+    magnitudes live in the committed BENCH_vm.json."""
     mode = "profiled" if profile else "unprofiled"
-    fast_ips, _, fast_cpu, fast_gmon = measure(FIB_SOURCE, "fast", profile, 3)
-    ref_ips, _, ref_cpu, ref_gmon = measure(FIB_SOURCE, "reference", profile, 3)
+    columns = compare_engines(FIB_SOURCE, profile, QUICK["repeats"])
     report(
         f"VM engines, fib(17) {mode}: reference vs fast",
         [
-            ("reference", f"{ref_ips:,.0f} i/s"),
-            ("fast", f"{fast_ips:,.0f} i/s"),
-            ("speedup", f"{fast_ips / ref_ips:.2f}x"),
+            ("reference", f"{columns['reference_ips']:,} i/s"),
+            ("fast", f"{columns['fast_ips']:,} i/s"),
+            ("speedup", spread(columns["speedup"])),
         ],
         header=("engine", "throughput"),
     )
-    # identical observables in the very run that was timed
-    assert fast_gmon == ref_gmon
-    assert fast_cpu.cycles == ref_cpu.cycles
-    assert fast_cpu.instructions_executed == ref_cpu.instructions_executed
-    assert fast_ips >= 3 * ref_ips
+    # identical observables in the very runs that were timed
+    assert columns["identical"]
+    assert columns["speedup"]["median"] >= 3
 
 
 @pytest.mark.parametrize(
@@ -245,19 +221,21 @@ def test_host_profiling_overhead_bounded(name, kwargs):
     time on the host.  compute_heavy crosses a tick on nearly every
     WORK, so it bounds the per-tick cost; fib bounds the per-call
     MCOUNT cost."""
-    overhead = host_overhead(PROGRAMS[name](**kwargs), OVERHEAD_ROUNDS)
+    overhead = host_overhead(PROGRAMS[name](**kwargs), FULL["repeats"])
     report(
         f"VM fast engine, {name}: profiled / unprofiled seconds",
-        [(f"median of {OVERHEAD_ROUNDS} pairs", f"{overhead:.2f}x")],
+        [(f"median [q1, q3] of {overhead['n']} rounds", spread(overhead))],
     )
-    assert overhead <= 1.5
+    assert overhead["median"] <= 1.5
 
 
 def test_quick_suite_byte_identical():
     """The emit_bench core's own identity gate, at smoke scale."""
     report_dict, identical = run_vm(quick=True)
     assert identical
-    assert all(
-        row["profiled_fast_ips"] > 0 and row["unprofiled_fast_ips"] > 0
-        for row in report_dict["rows"]
-    )
+    for row in report_dict["rows"]:
+        for mode in ("profiled", "unprofiled"):
+            assert row[f"{mode}_identical"]
+            assert row[f"{mode}_fast_ips"] > 0
+            assert row[f"{mode}_speedup"]["n"] == QUICK["repeats"]
+        assert row["host_profiling_overhead"]["n"] == QUICK["repeats"]

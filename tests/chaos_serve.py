@@ -48,7 +48,7 @@ def build_uploads(total: int, seed: int = 99):
     Roughly 70% healthy, 15% truncated, 15% bit-flipped — every mutant
     derived from a healthy blob so salvageability varies naturally.
     """
-    from benchmarks.emit_bench import build_corpus
+    from benchmarks.bench_fleet import build_corpus
 
     import random
 
